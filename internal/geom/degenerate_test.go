@@ -161,22 +161,3 @@ func TestDistSegmentPointDegenerate(t *testing.T) {
 		})
 	}
 }
-
-// TestMinDistSegmentMBBZeroDuration covers MINDIST against a box when the
-// moving point's segment collapses to an instant inside the box's time
-// slab.
-func TestMinDistSegmentMBBZeroDuration(t *testing.T) {
-	b := MBB{MinX: 0, MinY: 0, MinT: 0, MaxX: 2, MaxY: 2, MaxT: 10}
-	inside := Segment{A: STPoint{X: 1, Y: 1, T: 5}, B: STPoint{X: 1, Y: 1, T: 5}}
-	if d, ok := MinDistSegmentMBB(inside, b); !ok || d != 0 {
-		t.Errorf("instant inside box: got (%v, %v), want (0, true)", d, ok)
-	}
-	outside := Segment{A: STPoint{X: 5, Y: 2, T: 5}, B: STPoint{X: 5, Y: 2, T: 5}}
-	if d, ok := MinDistSegmentMBB(outside, b); !ok || math.Abs(d-3) > 1e-12 {
-		t.Errorf("instant outside box: got (%v, %v), want (3, true)", d, ok)
-	}
-	late := Segment{A: STPoint{X: 1, Y: 1, T: 20}, B: STPoint{X: 1, Y: 1, T: 20}}
-	if d, ok := MinDistSegmentMBB(late, b); ok || !math.IsInf(d, 1) {
-		t.Errorf("instant after box: got (%v, %v), want (+Inf, false)", d, ok)
-	}
-}

@@ -206,33 +206,6 @@ func TestDistSegmentRectVsSampling(t *testing.T) {
 	}
 }
 
-func TestMinDistSegmentMBB(t *testing.T) {
-	b := MBB{0, 0, 0, 10, 10, 10}
-	// No temporal overlap.
-	s := Segment{STPoint{0, 0, 20}, STPoint{1, 1, 30}}
-	if _, ok := MinDistSegmentMBB(s, b); ok {
-		t.Fatal("disjoint time must report ok=false")
-	}
-	// Moving point passes beside the box; only the clipped part counts.
-	s = Segment{STPoint{-10, 5, -10}, STPoint{30, 5, 30}}
-	d, ok := MinDistSegmentMBB(s, b)
-	if !ok || d != 0 {
-		t.Fatalf("through box: d=%v ok=%v", d, ok)
-	}
-	// Point spatially distant during the overlap window.
-	s = Segment{STPoint{20, 5, 0}, STPoint{30, 5, 10}}
-	d, ok = MinDistSegmentMBB(s, b)
-	if !ok || !almostEq(d, 10, 1e-12) {
-		t.Fatalf("beside box: d=%v ok=%v", d, ok)
-	}
-	// Clipping matters: the segment is near the box only outside the box's
-	// time window.
-	s = Segment{STPoint{5, 5, 20}, STPoint{100, 5, 40}}
-	if _, ok = MinDistSegmentMBB(s, b); ok {
-		t.Fatal("after box lifetime must report ok=false")
-	}
-}
-
 func TestMinDistSegments(t *testing.T) {
 	q := Segment{STPoint{0, 0, 0}, STPoint{10, 0, 10}}
 	s := Segment{STPoint{0, 4, 0}, STPoint{10, 4, 10}}

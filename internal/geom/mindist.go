@@ -66,20 +66,6 @@ func DistSegmentRect(a, b Point, r Rect) float64 {
 	return math.Min(d, DistSegments(a, b, c4, c1))
 }
 
-// MinDistSegmentMBB implements the MINDIST of the paper (after Frentzos et
-// al.'s NN algorithms): the minimum spatial distance, over the time
-// interval where the moving point s and the box b temporally coexist,
-// between the moving point's position and the box's spatial extent. The
-// second return value is false when s and b share no time interval, in
-// which case the distance is meaningless (+Inf is returned).
-func MinDistSegmentMBB(s Segment, b MBB) (float64, bool) {
-	clipped, ok := s.ClipTime(b.MinT, b.MaxT)
-	if !ok {
-		return math.Inf(1), false
-	}
-	return DistSegmentRect(clipped.A.Spatial(), clipped.B.Spatial(), b.Rect()), true
-}
-
 // MinDistSegments returns the minimum Euclidean distance over time between
 // two moving points during their common time interval, together with the
 // common interval itself. ok is false when the segments do not overlap

@@ -191,6 +191,18 @@ func TestMinDistTrajMBB(t *testing.T) {
 	if !ok || d != 0 {
 		t.Fatalf("through-box d=%v ok=%v", d, ok)
 	}
+	// A single instant between two samples is a zero-duration clip of the
+	// segment around it.
+	d, ok = MinDistTrajMBB(&q, box, 4.5, 4.5)
+	if !ok || math.Abs(d-5) > 1e-12 {
+		t.Fatalf("instant window d=%v ok=%v, want 5", d, ok)
+	}
+	// A query of one sample has no segment: the distance is the point's.
+	one := mkTraj([3]float64{0, 1, 4})
+	d, ok = MinDistTrajMBB(&one, box, 0, 10)
+	if !ok || math.Abs(d-5) > 1e-12 {
+		t.Fatalf("one-sample query d=%v ok=%v, want 5", d, ok)
+	}
 }
 
 // MINDIST must lower-bound the distance from the query to every segment a
@@ -233,17 +245,5 @@ func TestMinDistTrajMBBLowerBound(t *testing.T) {
 					iter, p, ts, got, d)
 			}
 		}
-	}
-}
-
-func TestMinDistTrajSegment(t *testing.T) {
-	q := mkTraj([3]float64{0, 0, 0}, [3]float64{10, 0, 10})
-	seg := geom.Segment{A: geom.STPoint{X: 0, Y: 4, T: 0}, B: geom.STPoint{X: 10, Y: 4, T: 10}}
-	d, ok := MinDistTrajSegment(&q, seg, 0, 10)
-	if !ok || math.Abs(d-4) > 1e-9 {
-		t.Fatalf("d=%v ok=%v", d, ok)
-	}
-	if _, ok := MinDistTrajSegment(&q, seg, 20, 30); ok {
-		t.Fatal("disjoint window must report ok=false")
 	}
 }
