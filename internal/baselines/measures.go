@@ -76,26 +76,87 @@ func EDR(a, b *trajectory.Trajectory, eps float64) int {
 // DTW computes the Dynamic Time Warping distance [2] with Euclidean point
 // cost and no band constraint. Smaller is more similar.
 func DTW(a, b *trajectory.Trajectory) float64 {
+	var s DTWScratch
+	d, _ := s.Within(a, b, math.Inf(1), nil)
+	return d
+}
+
+// LowerBoundShrink scales a DTW lower bound down before it is compared with
+// a distance, wherever the bound's float value could exceed the kernel's for
+// the same real number: when it sums its terms in another order than the
+// kernel adds them along a warping path, or measures to a box corner that
+// no sample occupies (math.Hypot is not monotone to the last ulp). Either
+// rounding moves a sum of n terms by about n ulps, so a relative 1e-9 covers
+// sequences of millions of samples, and a bound loses pruning only where it
+// lies within a billionth of the distance it is compared with.
+const LowerBoundShrink = 1 - 1e-9
+
+// DTWScratch holds the two rolling rows of DTW evaluations between calls,
+// so a search that decides many candidates allocates them once. The zero
+// value is ready to use.
+type DTWScratch struct{ rows []float64 }
+
+// Within computes DTW(a, b) like DTW, but stops as soon as it proves the
+// distance strictly exceeds bound. After row i (the i-th sample of a) every
+// warping path has cost at least the row's smallest cell, plus suffix[i]
+// when suffix is non-nil: the caller's lower bound on what the rows after
+// row i add, which must cost at least suffix[i] on any path. The rows are
+// abandoned when that sum, shrunk by LowerBoundShrink, exceeds bound.
+//
+// It returns the distance and true, or a lower bound on the distance that
+// strictly exceeds bound and false. A finished distance has the same bits
+// whatever the bound and suffix: the recurrence and its operand order do
+// not depend on them. For finite samples no cell is NaN or −0, so picking
+// the cheapest neighbour with comparisons returns what math.Min returns.
+func (s *DTWScratch) Within(a, b *trajectory.Trajectory, bound float64, suffix []float64) (float64, bool) {
 	n, m := len(a.Samples), len(b.Samples)
 	if n == 0 || m == 0 {
-		return math.Inf(1)
+		return math.Inf(1), true
 	}
+	if cap(s.rows) < 2*(m+1) {
+		s.rows = make([]float64, 2*(m+1))
+	}
+	prev, cur := s.rows[:m+1], s.rows[m+1:2*(m+1)]
 	inf := math.Inf(1)
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
 	for j := range prev {
 		prev[j] = inf
 	}
 	prev[0] = 0
-	for i := 1; i <= n; i++ {
+	bs := b.Samples
+	for i, p := range a.Samples {
 		cur[0] = inf
-		for j := 1; j <= m; j++ {
-			c := dist(a.Samples[i-1], b.Samples[j-1])
-			cur[j] = c + math.Min(prev[j-1], math.Min(prev[j], cur[j-1]))
+		rowMin := inf
+		diag, left := prev[0], inf
+		for j := range bs {
+			c := dist(p, bs[j])
+			up := prev[j+1]
+			best := diag
+			if up < best {
+				best = up
+			}
+			if left < best {
+				best = left
+			}
+			v := c + best
+			cur[j+1] = v
+			if v < rowMin {
+				rowMin = v
+			}
+			diag, left = up, v
 		}
 		prev, cur = cur, prev
+		if i == n-1 {
+			break
+		}
+		lb := rowMin
+		if suffix != nil {
+			lb += suffix[i]
+		}
+		if lb *= LowerBoundShrink; lb > bound {
+			return lb, false
+		}
 	}
-	return prev[m]
+	return prev[m], true
 }
 
 // InterpolateToTimestamps implements the paper's "-I" improvement (§5.2):

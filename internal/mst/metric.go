@@ -1,11 +1,13 @@
 package mst
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -107,13 +109,19 @@ func EvalMetric(m Metric, eps float64, q, tr *trajectory.Trajectory, t1, t2 floa
 	if !ok {
 		return 0, false
 	}
+	return evalSliced(m, eps, &qs, &ts)
+}
+
+// evalSliced evaluates a baseline metric on the window-sliced query and
+// trajectory; ok is false for DISSIM, which integrates the unsliced pair.
+func evalSliced(m Metric, eps float64, qs, ts *trajectory.Trajectory) (float64, bool) {
 	switch m {
 	case MetricDTW:
-		return baselines.DTW(&qs, &ts), true
+		return baselines.DTW(qs, ts), true
 	case MetricLCSS:
-		return baselines.LCSSDistance(&qs, &ts, eps, -1), true
+		return baselines.LCSSDistance(qs, ts, eps, -1), true
 	case MetricEDR:
-		return float64(baselines.EDR(&qs, &ts, eps)), true
+		return float64(baselines.EDR(qs, ts, eps)), true
 	}
 	return 0, false
 }
@@ -239,6 +247,15 @@ type metricSearcher struct {
 	pivotDW  map[trajectory.ID]float64 // cached d_W(q, pivot); NaN = pivot does not cover the window
 	heapPops int
 
+	// Per-search scratch, reused at every leaf: the leaf's admissible
+	// members, the member being decided sliced to the window, and the DTW
+	// cascade's query box, per-row suffix bounds and kernel rows.
+	members []leafMember
+	xs      trajectory.Trajectory
+	qBox    geom.Rect
+	suffix  []float64
+	dtwRows baselines.DTWScratch
+
 	// unseenBound floors everything the search never evaluated: the queue
 	// head at early termination / budget exhaustion, and the smallest
 	// lower bound among pruned subtrees and entries.
@@ -248,6 +265,12 @@ type metricSearcher struct {
 type metricHit struct {
 	id trajectory.ID
 	d  float64
+}
+
+// leafMember is a leaf entry that covers the window, with its entry bound.
+type leafMember struct {
+	id trajectory.ID
+	lb float64
 }
 
 // MetricSearchContext answers an exact kNN query under metric m on a
@@ -289,6 +312,10 @@ func MetricSearchContext(ctx context.Context, tree index.MetricTree, q *trajecto
 	}
 	for _, id := range opts.ExcludeIDs {
 		s.exclude[id] = true
+	}
+	if m == MetricDTW {
+		s.qBox = sampleRect(&bounder.qs)
+		s.suffix = make([]float64, len(bounder.qs.Samples))
 	}
 	s.stats.TotalNodes = tree.NumNodes()
 	defer func() { flushMetricSearch(&s.stats, s.heapPops) }()
@@ -442,9 +469,12 @@ func (s *metricSearcher) pivotWindowDist(id trajectory.ID) (float64, bool) {
 	return d, true
 }
 
-// processLeaf admits and exactly evaluates the leaf's covering members,
-// pruning entries whose lower bound proves they cannot reach the top-k.
+// processLeaf decides the leaf's covering members in ascending entry-bound
+// order, so that τ tightens on the likeliest members before the rest are
+// tried. A member is rejected when a lower bound proves it cannot reach the
+// top-k, and otherwise evaluated exactly.
 func (s *metricSearcher) processLeaf(n *index.MetricNode, nodeBound float64) error {
+	s.members = s.members[:0]
 	for _, e := range n.Leaves {
 		if s.exclude[e.TrajID] {
 			continue
@@ -456,36 +486,76 @@ func (s *metricSearcher) processLeaf(n *index.MetricNode, nodeBound float64) err
 		if lb < nodeBound {
 			lb = nodeBound
 		}
-		if !s.opts.DisableHeuristic1 && len(s.dists) >= s.opts.K && lb > s.tau() {
-			s.stats.Rejected++
-			s.noteUnseen(lb)
-			s.emitMetric(TraceEvent{
-				Kind: EventCandidatePrune, TrajID: e.TrajID, Lo: lb,
-				Heuristic: 1, Threshold: s.tau(),
-			})
+		s.members = append(s.members, leafMember{id: e.TrajID, lb: lb})
+	}
+	slices.SortStableFunc(s.members, func(a, b leafMember) int { return cmp.Compare(a.lb, b.lb) })
+	for _, mb := range s.members {
+		if s.prunes(mb.lb) {
+			s.reject(mb.id, mb.lb)
 			continue
 		}
-		tr := s.opts.Data.Get(e.TrajID)
+		tr := s.opts.Data.Get(mb.id)
 		if tr == nil {
 			// A leaf naming a trajectory the store cannot resolve is
 			// index/store inconsistency — the same class as a torn page.
-			return fmt.Errorf("%w: metric index references unknown trajectory %d", index.ErrCorruptNode, e.TrajID)
+			return fmt.Errorf("%w: metric index references unknown trajectory %d", index.ErrCorruptNode, mb.id)
 		}
-		s.emitMetric(TraceEvent{Kind: EventCandidateAdmit, TrajID: e.TrajID, Lo: lb, Hi: math.Inf(1)})
-		d, ok := EvalMetric(s.m, s.eps, s.q, tr, s.t1, s.t2)
+		s.emitMetric(TraceEvent{Kind: EventCandidateAdmit, TrajID: mb.id, Lo: mb.lb, Hi: math.Inf(1)})
+		d, exact, ok := s.evaluate(tr)
 		if !ok {
+			continue
+		}
+		if !exact {
+			s.reject(mb.id, d)
 			continue
 		}
 		s.stats.Completed++
 		s.stats.ExactRefined++
-		s.hits = append(s.hits, metricHit{id: e.TrajID, d: d})
+		s.hits = append(s.hits, metricHit{id: mb.id, d: d})
 		i := sort.SearchFloat64s(s.dists, d)
 		s.dists = append(s.dists, 0)
 		copy(s.dists[i+1:], s.dists[i:])
 		s.dists[i] = d
-		s.emitMetric(TraceEvent{Kind: EventCandidateComplete, TrajID: e.TrajID, Lo: d, Hi: d, Exact: d})
+		s.emitMetric(TraceEvent{Kind: EventCandidateComplete, TrajID: mb.id, Lo: d, Hi: d, Exact: d})
 	}
 	return nil
+}
+
+// prunes reports whether Heuristic 1 rejects a member whose distance is at
+// least lb: only on strict excess over τ, because a tie may still enter the
+// top-k on its TrajID.
+func (s *metricSearcher) prunes(lb float64) bool {
+	return !s.opts.DisableHeuristic1 && len(s.dists) >= s.opts.K && lb > s.tau()
+}
+
+// reject records a member proved outside the top-k by lower bound lb.
+func (s *metricSearcher) reject(id trajectory.ID, lb float64) {
+	s.stats.Rejected++
+	s.noteUnseen(lb)
+	s.emitMetric(TraceEvent{
+		Kind: EventCandidatePrune, TrajID: id, Lo: lb,
+		Heuristic: 1, Threshold: s.tau(),
+	})
+}
+
+// evaluate decides an admitted member. It returns the exact distance and
+// exact = true, or, for DTW, a lower bound strictly above τ and exact =
+// false. ok is false when the member does not cover the window.
+func (s *metricSearcher) evaluate(tr *trajectory.Trajectory) (d float64, exact, ok bool) {
+	if s.m == MetricDISSIM {
+		d, ok = dissim.Exact(s.q, tr, s.t1, s.t2)
+		return d, true, ok
+	}
+	if !tr.Covers(s.t1, s.t2) {
+		return 0, false, false
+	}
+	if s.m == MetricDTW {
+		d, exact = s.decideDTW(tr)
+		return d, exact, true
+	}
+	s.sliceMember(tr)
+	d, ok = evalSliced(s.m, s.eps, &s.bounder.qs, &s.xs)
+	return d, true, ok
 }
 
 // entryBound lower-bounds metric m for one covering leaf member: the

@@ -1,11 +1,15 @@
 package mst
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"mstsearch/internal/gstd"
+	"mstsearch/internal/ntree"
 	"mstsearch/internal/rtree"
+	"mstsearch/internal/storage"
 	"mstsearch/internal/trajectory"
 )
 
@@ -100,6 +104,111 @@ func TestTraceContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMetricTraceContract is TestTraceContract for the metric searcher.
+// Stats.Rejected counts the members Heuristic 1 proved outside the top-k,
+// by their entry bound or by a stage of the DTW cascade, and each emits one
+// Heuristic 1 prune; subtrees pruned against τ emit Heuristic 2 prunes.
+// Every admitted member ends in exactly one complete or one prune, and
+// complete events count the finished evaluations.
+func TestMetricTraceContract(t *testing.T) {
+	ds := gstd.Generate(gstd.Config{NumObjects: 300, SamplesPerObject: 41, Seed: 3})
+	tree := ntree.New(storage.NewFile(storage.DefaultPageSize), ds.Get)
+	for i := range ds.Trajs {
+		if err := tree.InsertTrajectory(&ds.Trajs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	foreign := gstd.Generate(gstd.Config{NumObjects: 10, SamplesPerObject: 41, Seed: 4})
+	rng := rand.New(rand.NewSource(5))
+	for _, mc := range []struct {
+		m   Metric
+		eps float64
+	}{{MetricDISSIM, 0}, {MetricDTW, 0}, {MetricLCSS, 0.05}, {MetricEDR, 0.05}} {
+		for _, tc := range []struct {
+			name string
+			opts Options
+		}{
+			{"plain", Options{K: 5}},
+			{"no-heuristics", Options{K: 3, DisableHeuristic1: true, DisableHeuristic2: true}},
+			{"budgeted", Options{K: 3, MaxNodeAccesses: 4}},
+		} {
+			t.Run(mc.m.String()+"/"+tc.name, func(t *testing.T) {
+				filtered := 0
+				for iter := 0; iter < 6; iter++ {
+					src := &foreign.Trajs[rng.Intn(foreign.Len())]
+					lo := rng.Intn(20)
+					t1, t2 := src.Samples[lo].T, src.Samples[lo+20].T
+					q, _ := src.Slice(t1, t2)
+					var events []TraceEvent
+					opts := tc.opts
+					opts.Data = ds
+					opts.Trace = func(ev TraceEvent) { events = append(events, ev) }
+					_, st, err := MetricSearchContext(context.Background(), tree, &q, t1, t2, mc.m, mc.eps, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					count := map[EventKind]int{}
+					leaves, prunesH1 := 0, 0
+					open := map[trajectory.ID]bool{} // admitted, not yet decided
+					for _, ev := range events {
+						count[ev.Kind]++
+						switch ev.Kind {
+						case EventNodeVisit:
+							if ev.Leaf {
+								leaves++
+							}
+						case EventCandidateAdmit:
+							open[ev.TrajID] = true
+						case EventCandidateComplete:
+							if !open[ev.TrajID] {
+								t.Fatalf("iter %d: trajectory %d completed without an admission", iter, ev.TrajID)
+							}
+							delete(open, ev.TrajID)
+						case EventCandidatePrune:
+							switch ev.Heuristic {
+							case 1:
+								prunesH1++
+								if open[ev.TrajID] {
+									filtered++
+									delete(open, ev.TrajID)
+								}
+							case 2:
+							default:
+								t.Errorf("iter %d: prune event blames heuristic %d", iter, ev.Heuristic)
+							}
+						}
+					}
+					if len(open) != 0 {
+						t.Errorf("iter %d: %d admitted members were neither completed nor pruned", iter, len(open))
+					}
+					if got := count[EventNodeVisit]; got != st.NodesAccessed {
+						t.Errorf("iter %d: node-visit events %d != NodesAccessed %d", iter, got, st.NodesAccessed)
+					}
+					if leaves != st.LeavesAccessed {
+						t.Errorf("iter %d: leaf visit events %d != LeavesAccessed %d", iter, leaves, st.LeavesAccessed)
+					}
+					if got := count[EventNodeEnqueue]; got != st.Enqueued {
+						t.Errorf("iter %d: node-enqueue events %d != Enqueued %d", iter, got, st.Enqueued)
+					}
+					if prunesH1 != st.Rejected {
+						t.Errorf("iter %d: Heuristic 1 prune events %d != Rejected %d", iter, prunesH1, st.Rejected)
+					}
+					if got := count[EventCandidateComplete]; got != st.Completed || got != st.ExactRefined {
+						t.Errorf("iter %d: complete events %d, Completed %d, ExactRefined %d", iter, got, st.Completed, st.ExactRefined)
+					}
+					if opts.DisableHeuristic1 && st.Rejected != 0 {
+						t.Errorf("iter %d: Heuristic 1 disabled, yet %d members rejected", iter, st.Rejected)
+					}
+				}
+				if mc.m == MetricDTW && tc.name == "plain" && filtered == 0 {
+					t.Error("no admitted DTW member was filtered or abandoned: the cascade did not run")
+				}
+			})
+		}
 	}
 }
 

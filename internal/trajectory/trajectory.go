@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mstsearch/internal/geom"
@@ -117,25 +118,34 @@ func (tr *Trajectory) At(t float64) geom.STPoint {
 // boundary positions. ok is false when the trajectory does not cover any
 // positive part of the interval.
 func (tr *Trajectory) Slice(t1, t2 float64) (Trajectory, bool) {
-	if len(tr.Samples) < 2 {
-		return Trajectory{ID: tr.ID}, false
+	s, ok := tr.AppendSlice(nil, t1, t2)
+	return Trajectory{ID: tr.ID, Samples: s}, ok
+}
+
+// AppendSlice appends the samples of Slice(t1, t2) to dst and returns the
+// extended slice, growing dst at most once. A caller slicing many
+// trajectories passes the same buffer back, truncated, to reuse it. On
+// failure dst is returned unchanged. Like At, it relies on the samples'
+// strictly increasing timestamps.
+func (tr *Trajectory) AppendSlice(dst []Sample, t1, t2 float64) ([]Sample, bool) {
+	n := len(tr.Samples)
+	if n < 2 {
+		return dst, false
 	}
 	lo := math.Max(t1, tr.StartTime())
 	hi := math.Min(t2, tr.EndTime())
 	if !(lo < hi) { // also rejects NaN windows
-		return Trajectory{ID: tr.ID}, false
+		return dst, false
 	}
-	out := Trajectory{ID: tr.ID, Samples: make([]Sample, 0, 8)}
+	// Samples [i0, i1) lie strictly inside (lo, hi).
+	i0 := sort.Search(n, func(i int) bool { return tr.Samples[i].T > lo })
+	i1 := i0 + sort.Search(n-i0, func(i int) bool { return tr.Samples[i0+i].T >= hi })
+	dst = slices.Grow(dst, i1-i0+2)
 	p := tr.At(lo)
-	out.Samples = append(out.Samples, Sample{p.X, p.Y, p.T})
-	for _, s := range tr.Samples {
-		if s.T > lo && s.T < hi {
-			out.Samples = append(out.Samples, s)
-		}
-	}
+	dst = append(dst, Sample{p.X, p.Y, p.T})
+	dst = append(dst, tr.Samples[i0:i1]...)
 	p = tr.At(hi)
-	out.Samples = append(out.Samples, Sample{p.X, p.Y, p.T})
-	return out, true
+	return append(dst, Sample{p.X, p.Y, p.T}), true
 }
 
 // Bounds returns the 3D minimum bounding box of the trajectory.

@@ -101,6 +101,64 @@ func TestSlice(t *testing.T) {
 	}
 }
 
+// AppendSlice finds the inner samples by binary search; the samples it
+// appends must be, bit for bit, the ones a scan of every sample picks, on
+// windows that start and end on sample times, between them, and outside
+// the lifespan. A reused buffer keeps its prefix and grows at most once.
+func TestAppendSliceMatchesScan(t *testing.T) {
+	scan := func(tr *Trajectory, t1, t2 float64) ([]Sample, bool) {
+		lo, hi := math.Max(t1, tr.StartTime()), math.Min(t2, tr.EndTime())
+		if !(lo < hi) {
+			return nil, false
+		}
+		p := tr.At(lo)
+		out := []Sample{{p.X, p.Y, p.T}}
+		for _, s := range tr.Samples {
+			if s.T > lo && s.T < hi {
+				out = append(out, s)
+			}
+		}
+		p = tr.At(hi)
+		return append(out, Sample{p.X, p.Y, p.T}), true
+	}
+	rng := rand.New(rand.NewSource(26))
+	buf := make([]Sample, 0, 4)
+	for i := 0; i < 5000; i++ {
+		tr := randTraj(rng, 1, 2+rng.Intn(30))
+		pick := func() float64 {
+			switch rng.Intn(3) {
+			case 0:
+				return tr.Samples[rng.Intn(len(tr.Samples))].T
+			case 1:
+				return tr.StartTime() + (rng.Float64()*1.4-0.2)*tr.Duration()
+			}
+			return math.Round(tr.StartTime() + rng.Float64()*tr.Duration())
+		}
+		t1, t2 := pick(), pick()
+		want, wantOK := scan(&tr, t1, t2)
+		head := Sample{X: -1, Y: -1, T: -1}
+		got, ok := tr.AppendSlice(append(buf[:0], head), t1, t2)
+		if ok != wantOK || len(got) != len(want)+1 || got[0] != head {
+			t.Fatalf("AppendSlice(%v, %v) = %v, %v; scan %v, %v", t1, t2, got, ok, want, wantOK)
+		}
+		for j := range want {
+			g, w := got[j+1], want[j]
+			if math.Float64bits(g.X) != math.Float64bits(w.X) || math.Float64bits(g.Y) != math.Float64bits(w.Y) ||
+				math.Float64bits(g.T) != math.Float64bits(w.T) {
+				t.Fatalf("AppendSlice(%v, %v) sample %d = %+v, scan %+v", t1, t2, j, g, w)
+			}
+		}
+		buf = got
+	}
+	tr := randTraj(rng, 1, 40)
+	allocs := testing.AllocsPerRun(20, func() {
+		buf, _ = tr.AppendSlice(buf[:0], tr.StartTime(), tr.EndTime())
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendSlice into a large enough buffer allocates %v times", allocs)
+	}
+}
+
 func TestBoundsAndLength(t *testing.T) {
 	tr := lineTraj(1, 0, 1, 2)
 	b := tr.Bounds()

@@ -91,6 +91,7 @@ func TestMetricDifferentialOracle(t *testing.T) {
 			rng := rand.New(rand.NewSource(100 * int64(mc.m)))
 			serialOut := make([][]Result, queriesPerMetric)
 			batch := make([]BatchQuery, queriesPerMetric)
+			filtered := 0
 			for i := 0; i < queriesPerMetric; i++ {
 				var q *Trajectory
 				if i%3 == 0 {
@@ -113,6 +114,9 @@ func TestMetricDifferentialOracle(t *testing.T) {
 					t.Fatalf("iter %d serial: %v", i, err)
 				}
 				checkMetricOracle(t, "serial", i, resp.Results, want)
+				if mc.m == MetricDTW {
+					filtered += checkDTWFilterParity(t, db, req, resp.Results)
+				}
 
 				preq := req
 				preq.Options.Parallelism = 4
@@ -133,14 +137,113 @@ func TestMetricDifferentialOracle(t *testing.T) {
 				}
 				checkBitIdentical(t, "metric-batch", i, serialOut[i], br.Results)
 			}
+			if mc.m == MetricDTW && filtered == 0 {
+				t.Fatal("no admitted DTW candidate was filtered or abandoned: the cascade did not run")
+			}
 		})
+	}
+	t.Run("dtw-ties", func(t *testing.T) { testDTWTies(t, trajs) })
+}
+
+// checkDTWFilterParity reruns a DTW request traced, and again with
+// Heuristic 1 disabled, which evaluates every admitted candidate in full.
+// Both must return want. It returns how many candidates the traced run
+// admitted and then rejected: filtered by a cascade bound or abandoned by
+// the kernel.
+func checkDTWFilterParity(t *testing.T, db *DB, req Request, want []Result) int {
+	t.Helper()
+	treq := req
+	filtered := countFiltered(&treq.Options)
+	tresp, err := db.Query(context.Background(), treq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBitIdentical(t, "dtw-traced", 0, want, tresp.Results)
+	ureq := req
+	ureq.Options.DisableHeuristic1 = true
+	uresp, err := db.Query(context.Background(), ureq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBitIdentical(t, "dtw-heuristic1-off", 0, want, uresp.Results)
+	return *filtered
+}
+
+// countFiltered sets a trace hook on o that counts the candidates admitted
+// and then rejected by Heuristic 1, and returns the counter.
+func countFiltered(o *Options) *int {
+	admitted := map[ID]bool{}
+	filtered := new(int)
+	o.Trace = func(ev TraceEvent) {
+		switch {
+		case ev.Kind == EventCandidateAdmit:
+			admitted[ev.TrajID] = true
+		case ev.Kind == EventCandidatePrune && ev.Heuristic == 1 && admitted[ev.TrajID]:
+			*filtered++
+		}
+	}
+	return filtered
+}
+
+// testDTWTies holds two copies of each of two trajectories under other IDs,
+// one copy stored before its original and one after, and asks for the k
+// that puts the lower ID of a pair in the answer and the higher one out. A
+// tie is no reason to reject: the lower ID must win however the leaf orders
+// the twins. Windows on sample times against a twin's own samples make
+// every bound of the cascade equal to the distance, 0.
+func testDTWTies(t *testing.T, fleet []Trajectory) {
+	early, late := fleet[3].Clone(), fleet[7].Clone()
+	early.ID, late.ID = 1000, 1001
+	trajs := append(append([]Trajectory{early}, fleet...), late)
+	db, err := NewDB(NTree, trajs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(26))
+	for i := 0; i < 16; i++ {
+		twin, orig := early, fleet[3]
+		if i%2 == 1 {
+			twin, orig = late, fleet[7]
+		}
+		lo := rng.Intn(40)
+		t1, t2 := orig.Samples[lo].T, orig.Samples[lo+20+rng.Intn(20)].T
+		var q *Trajectory
+		if i%4 < 2 {
+			s, _ := orig.Slice(t1, t2)
+			q = &s
+		} else {
+			q = oracleQuery(rng, 61)
+		}
+		all := metricLinearTopK(trajs, q, t1, t2, len(trajs), MetricDTW, 0)
+		k := 0
+		for j, h := range all {
+			if h.id == orig.ID {
+				k = j + 1
+			}
+		}
+		if k == len(all) || all[k].id != twin.ID || all[k].d != all[k-1].d {
+			t.Fatalf("iter %d: twins %d and %d are not adjacent ties in the oracle ranking", i, orig.ID, twin.ID)
+		}
+		req := Request{
+			Q: q, Interval: Interval{T1: t1, T2: t2}, K: k, Metric: MetricDTW,
+			Options: Options{ExactRefine: true, Refine: 1, Parallelism: 1},
+		}
+		resp, err := db.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMetricOracle(t, "dtw-ties", i, resp.Results, all[:k])
+		checkDTWFilterParity(t, db, req, resp.Results)
 	}
 }
 
 // TestMetricDegradedBudgetParity pins the degradation contract on the
 // metric engine: under a tight node budget the search must report
-// Degraded, stay bit-identical between serial and parallel runs, and
-// every result it still marks Certified must hold its oracle rank.
+// Degraded, stay bit-identical between serial and parallel runs, every
+// result it still marks Certified must hold its oracle rank, and CertFloor
+// must not exceed the distance of any covering trajectory it left out.
+// Disabling Heuristic 1 visits the same nodes, so it returns the same
+// answers.
 func TestMetricDegradedBudgetParity(t *testing.T) {
 	// Enough objects to force a multi-level tree (a 4 KiB page holds ~63
 	// metric leaf entries), so a tight budget actually runs out mid-walk.
@@ -150,7 +253,7 @@ func TestMetricDegradedBudgetParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(17))
-	degraded := 0
+	degraded, filtered := 0, 0
 	const iters = 40
 	for i := 0; i < iters; i++ {
 		q := oracleQuery(rng, 61)
@@ -170,15 +273,18 @@ func TestMetricDegradedBudgetParity(t *testing.T) {
 		}
 		preq := req
 		preq.Options.Parallelism = 4
+		n := countFiltered(&preq.Options)
 		presp, err := db.Query(context.Background(), preq)
 		if err != nil {
 			t.Fatalf("iter %d parallel: %v", i, err)
 		}
+		filtered += *n
 		checkBitIdentical(t, "degraded", i, resp.Results, presp.Results)
 		if resp.Stats.Degraded {
 			degraded++
 		}
-		want := metricLinearTopK(trajs, q, t1, t2, k, MetricDTW, 0)
+		all := metricLinearTopK(trajs, q, t1, t2, len(trajs), MetricDTW, 0)
+		want := all[:min(k, len(all))]
 		for j, r := range resp.Results {
 			if !r.Certified {
 				continue
@@ -189,9 +295,38 @@ func TestMetricDegradedBudgetParity(t *testing.T) {
 					i, j, r.TrajID, r.Dissim)
 			}
 		}
+		returned := map[ID]bool{}
+		for _, r := range resp.Results {
+			returned[r.TrajID] = true
+		}
+		for _, h := range all {
+			if !returned[h.id] && resp.Stats.CertFloor > h.d {
+				t.Fatalf("iter %d: CertFloor %v exceeds the distance %v of trajectory %d, which was not returned",
+					i, resp.Stats.CertFloor, h.d, h.id)
+			}
+		}
+		ureq := req
+		ureq.Options.DisableHeuristic1 = true
+		uresp, err := db.Query(context.Background(), ureq)
+		if err != nil {
+			t.Fatalf("iter %d heuristic 1 off: %v", i, err)
+		}
+		if len(uresp.Results) != len(resp.Results) {
+			t.Fatalf("iter %d: %d results with Heuristic 1 off, %d with it on", i, len(uresp.Results), len(resp.Results))
+		}
+		for j, r := range resp.Results {
+			u := uresp.Results[j]
+			if u.TrajID != r.TrajID || math.Float64bits(u.Dissim) != math.Float64bits(r.Dissim) {
+				t.Fatalf("iter %d rank %d: traj %d (%v) with Heuristic 1 off, %d (%v) with it on",
+					i, j, u.TrajID, u.Dissim, r.TrajID, r.Dissim)
+			}
+		}
 	}
 	if degraded == 0 {
 		t.Fatalf("no search degraded under 1-3 node budgets across %d iterations", iters)
+	}
+	if filtered == 0 {
+		t.Fatalf("no admitted candidate was filtered or abandoned across %d iterations", iters)
 	}
 }
 

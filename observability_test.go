@@ -132,6 +132,39 @@ func TestQueryNoAllocRegression(t *testing.T) {
 	}
 }
 
+// TestMetricQueryNoAllocRegression is the same guard for an exact DTW
+// query on the N-tree. The search slices every candidate into scratch and
+// runs the kernel on rows it keeps, so the query's allocations do not grow
+// with the candidates it decides. Slicing or allocating rows per candidate
+// again adds about ten per candidate: this query made 215 allocations that
+// way, and makes 36 without.
+func TestMetricQueryNoAllocRegression(t *testing.T) {
+	if debugassert.Enabled {
+		t.Skip("sanitizer assertions allocate; the ceiling holds for release builds only")
+	}
+	db, err := NewDB(NTree, obsFleet(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.EnableWarmBuffer()
+	q := obsFleet(43)[0]
+	q.ID = 0
+	req := Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3, Metric: MetricDTW, Options: DefaultOptions()}
+	ctx := context.Background()
+	if _, err := db.Query(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := db.Query(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 45
+	if allocs > ceiling {
+		t.Errorf("untraced DTW query allocates %.0f times/run, ceiling %d", allocs, ceiling)
+	}
+}
+
 // TestMetricsSnapshot verifies queries feed the process-wide registry:
 // search-loop counters, per-kind latency, and pool I/O all move.
 func TestMetricsSnapshot(t *testing.T) {
