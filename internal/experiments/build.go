@@ -55,10 +55,9 @@ var (
 type BuiltIndex struct {
 	Kind      TreeKind
 	File      *storage.File
-	RMeta     rtree.Meta
-	TMeta     tbtree.Meta
-	SMeta     strtree.Meta
+	Meta      index.Meta
 	BuildTime time.Duration
+	open      func(storage.Pager, index.Meta) index.Tree
 }
 
 // BuildIndex inserts every segment of the dataset into a fresh index of
@@ -67,38 +66,29 @@ type BuiltIndex struct {
 func BuildIndex(kind TreeKind, data *trajectory.Dataset) (*BuiltIndex, error) {
 	f := storage.NewFile(storage.DefaultPageSize)
 	b := &BuiltIndex{Kind: kind, File: f}
-	start := time.Now()
+	var t interface {
+		InsertTrajectory(*trajectory.Trajectory) error
+		Meta() index.Meta
+	}
 	switch kind {
 	case TBTree:
-		t := tbtree.New(f)
-		for i := range data.Trajs {
-			if err := t.InsertTrajectory(&data.Trajs[i]); err != nil {
-				return nil, fmt.Errorf("experiments: tbtree build: %w", err)
-			}
-		}
-		b.TMeta = t.Meta()
+		t = tbtree.New(f)
+		b.open = func(p storage.Pager, m index.Meta) index.Tree { return tbtree.Open(p, m) }
 	case STRTree:
-		t := strtree.New(f)
-		for i := range data.Trajs {
-			if err := t.InsertTrajectory(&data.Trajs[i]); err != nil {
-				return nil, fmt.Errorf("experiments: strtree build: %w", err)
-			}
-		}
-		b.SMeta = t.Meta()
+		t = strtree.New(f)
+		b.open = func(p storage.Pager, m index.Meta) index.Tree { return strtree.Open(p, m) }
 	default:
-		t := rtree.New(f)
-		for i := range data.Trajs {
-			tr := &data.Trajs[i]
-			for s := 0; s < tr.NumSegments(); s++ {
-				e := index.LeafEntry{TrajID: tr.ID, SeqNo: uint32(s), Seg: tr.Segment(s)}
-				if err := t.Insert(e); err != nil {
-					return nil, fmt.Errorf("experiments: rtree build: %w", err)
-				}
-			}
+		t = rtree.New(f)
+		b.open = func(p storage.Pager, m index.Meta) index.Tree { return rtree.Open(p, m) }
+	}
+	start := time.Now()
+	for i := range data.Trajs {
+		if err := t.InsertTrajectory(&data.Trajs[i]); err != nil {
+			return nil, fmt.Errorf("experiments: %s build: %w", kind, err)
 		}
-		b.RMeta = t.Meta()
 	}
 	b.BuildTime = time.Since(start)
+	b.Meta = t.Meta()
 	return b, nil
 }
 
@@ -113,28 +103,12 @@ func (b *BuiltIndex) SizeMB() float64 {
 // accounting.
 func (b *BuiltIndex) View() (index.Tree, *storage.BufferPool) {
 	bp := storage.NewPaperBuffer(b.File)
-	switch b.Kind {
-	case TBTree:
-		return tbtree.Open(bp, b.TMeta), bp
-	case STRTree:
-		return strtree.Open(bp, b.SMeta), bp
-	default:
-		return rtree.Open(bp, b.RMeta), bp
-	}
+	return b.open(bp, b.Meta), bp
 }
 
 // Unbuffered returns a view reading the raw file (every access counted as
 // a physical read).
-func (b *BuiltIndex) Unbuffered() index.Tree {
-	switch b.Kind {
-	case TBTree:
-		return tbtree.Open(b.File, b.TMeta)
-	case STRTree:
-		return strtree.Open(b.File, b.SMeta)
-	default:
-		return rtree.Open(b.File, b.RMeta)
-	}
-}
+func (b *BuiltIndex) Unbuffered() index.Tree { return b.open(b.File, b.Meta) }
 
 // SyntheticDataset generates the GSTD dataset of the given cardinality
 // with the study's fixed parameters (Table 2: lognormal speeds, σ = 0.6,

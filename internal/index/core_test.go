@@ -1,0 +1,154 @@
+package index_test
+
+import (
+	"strings"
+	"testing"
+
+	"mstsearch/internal/gstd"
+	"mstsearch/internal/index"
+	"mstsearch/internal/rtree"
+	"mstsearch/internal/storage"
+	"mstsearch/internal/strtree"
+	"mstsearch/internal/tbtree"
+	"mstsearch/internal/trajectory"
+)
+
+// checkedTree is what the corruption cases need of an MBB tree kind.
+type checkedTree interface {
+	index.Tree
+	Meta() index.Meta
+	InsertTrajectory(*trajectory.Trajectory) error
+	CheckInvariants() (int, error)
+}
+
+var mbbKinds = []struct {
+	name  string
+	build func(storage.Pager) checkedTree
+	open  func(storage.Pager, index.Meta) checkedTree
+}{
+	{"rtree",
+		func(p storage.Pager) checkedTree { return rtree.New(p) },
+		func(p storage.Pager, m index.Meta) checkedTree { return rtree.Open(p, m) }},
+	{"strtree",
+		func(p storage.Pager) checkedTree { return strtree.New(p) },
+		func(p storage.Pager, m index.Meta) checkedTree { return strtree.Open(p, m) }},
+	{"tbtree",
+		func(p storage.Pager) checkedTree { return tbtree.New(p) },
+		func(p storage.Pager, m index.Meta) checkedTree { return tbtree.Open(p, m) }},
+}
+
+// smallPager reports a quarter of the real page size, so a tree opened
+// over it has fan-outs its full pages overflow.
+type smallPager struct{ storage.Pager }
+
+func (p smallPager) PageSize() int { return p.Pager.PageSize() / 4 }
+
+func readNode(t *testing.T, f *storage.File, id storage.PageID) *index.Node {
+	t.Helper()
+	n, err := index.ReadNode(f, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func writeNode(t *testing.T, f *storage.File, n *index.Node) {
+	t.Helper()
+	if err := index.WriteNode(f, n); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// firstLeaf descends the first child of every node down to a leaf.
+func firstLeaf(t *testing.T, f *storage.File, root storage.PageID) *index.Node {
+	t.Helper()
+	n := readNode(t, f, root)
+	for !n.Leaf {
+		n = readNode(t, f, n.Children[0].Page)
+	}
+	return n
+}
+
+// TestCheckInvariantsReportsCorruption corrupts one thing per case in a
+// small tree of each MBB kind and requires the shared walk to report it.
+func TestCheckInvariantsReportsCorruption(t *testing.T) {
+	fleet := gstd.Generate(gstd.Config{NumObjects: 12, SamplesPerObject: 40, Seed: 5}).Trajs
+	cases := []struct {
+		name  string
+		kinds string // the kinds the rule applies to; empty for all
+		want  string
+		// corrupt damages the pages in f or the metadata, returning the
+		// pager and Meta to reopen the tree with.
+		corrupt func(t *testing.T, f *storage.File, m index.Meta) (storage.Pager, index.Meta)
+	}{
+		{"child MBB does not contain its node", "", "not contained",
+			func(t *testing.T, f *storage.File, m index.Meta) (storage.Pager, index.Meta) {
+				root := readNode(t, f, m.Root)
+				root.Children[0].MBB.MaxX = root.Children[0].MBB.MinX
+				writeNode(t, f, root)
+				return f, m
+			}},
+		{"leaf at the wrong depth", "", "at depth",
+			func(t *testing.T, f *storage.File, m index.Meta) (storage.Pager, index.Meta) {
+				m.Height++
+				return f, m
+			}},
+		{"overflowing node", "", "outside",
+			func(t *testing.T, f *storage.File, m index.Meta) (storage.Pager, index.Meta) {
+				return smallPager{f}, m
+			}},
+		{"wrong node counter", "", "counter says",
+			func(t *testing.T, f *storage.File, m index.Meta) (storage.Pager, index.Meta) {
+				m.Nodes++
+				return f, m
+			}},
+		{"R-tree underflow", "rtree", "outside",
+			func(t *testing.T, f *storage.File, m index.Meta) (storage.Pager, index.Meta) {
+				leaf := firstLeaf(t, f, m.Root)
+				leaf.Leaves = leaf.Leaves[:1]
+				writeNode(t, f, leaf)
+				return f, m
+			}},
+		{"TB-tree leaf mixes trajectories", "tbtree", "mixes trajectories",
+			func(t *testing.T, f *storage.File, m index.Meta) (storage.Pager, index.Meta) {
+				leaf := firstLeaf(t, f, m.Root)
+				leaf.Leaves[1].TrajID += 1000
+				writeNode(t, f, leaf)
+				return f, m
+			}},
+		{"TB-tree leaf skips a SeqNo", "tbtree", "non-consecutive",
+			func(t *testing.T, f *storage.File, m index.Meta) (storage.Pager, index.Meta) {
+				leaf := firstLeaf(t, f, m.Root)
+				leaf.Leaves[1].SeqNo++
+				writeNode(t, f, leaf)
+				return f, m
+			}},
+	}
+	for _, kind := range mbbKinds {
+		for _, c := range cases {
+			if c.kinds != "" && c.kinds != kind.name {
+				continue
+			}
+			t.Run(kind.name+"/"+c.name, func(t *testing.T) {
+				f := storage.NewFile(1024)
+				tr := kind.build(f)
+				for i := range fleet {
+					if err := tr.InsertTrajectory(&fleet[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if tr.Height() < 2 {
+					t.Fatalf("height %d: the cases need an internal root", tr.Height())
+				}
+				if _, err := tr.CheckInvariants(); err != nil {
+					t.Fatalf("intact tree: %v", err)
+				}
+				p, m := c.corrupt(t, f, tr.Meta())
+				_, err := kind.open(p, m).CheckInvariants()
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("CheckInvariants = %v, want an error containing %q", err, c.want)
+				}
+			})
+		}
+	}
+}

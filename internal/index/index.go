@@ -1,6 +1,7 @@
 // Package index defines the node model shared by every R-tree-like
-// structure in this library (the 3D R-tree and the TB-tree), the on-page
-// node codec, and the Tree interface the k-MST search algorithm is written
+// structure in this library (the 3D R-tree, the TB-tree and the STR-tree),
+// the on-page node codec, the paged-tree core every index kind embeds
+// (core.go), and the Tree interface the k-MST search algorithm is written
 // against. Because BFMSTSearch only needs best-first traversal over nodes
 // with 3D MBBs and leaf-level trajectory segments, it runs unchanged on any
 // structure implementing Tree — the property the paper emphasizes
@@ -90,17 +91,9 @@ type Index interface {
 
 // Tree is the read-side interface the MBB-based k-MST search consumes.
 type Tree interface {
-	// Root returns the root node's page (NilPage for an empty tree).
-	Root() storage.PageID
-	// RootMBB returns the bound of the whole tree.
-	RootMBB() geom.MBB
+	Index
 	// ReadNode fetches and decodes one node.
 	ReadNode(id storage.PageID) (*Node, error)
-	// Height returns the number of levels (1 = root is a leaf; 0 = empty).
-	Height() int
-	// NumNodes returns the total number of nodes, the denominator of the
-	// pruning-power metric.
-	NumNodes() int
 }
 
 // MetricTree is the read-side interface of a metric-space index: same
@@ -108,8 +101,6 @@ type Tree interface {
 // radii instead of raw segments. See metricnode.go for the node model.
 type MetricTree interface {
 	Index
-	// RootMBB returns the aggregate bound of the whole tree.
-	RootMBB() geom.MBB
 	// ReadMetricNode fetches and decodes one metric node.
 	ReadMetricNode(id storage.PageID) (*MetricNode, error)
 }

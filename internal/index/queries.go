@@ -17,7 +17,7 @@ import (
 // introduction says the same index must keep supporting alongside k-MST
 // (§1: "a spatiotemporal index to support both classical range,
 // topological and similarity based queries"). They are written against the
-// Tree interface, so they run on the 3D R-tree and the TB-tree alike.
+// Tree interface, so they run on every MBB tree kind alike.
 //
 // Every traversal takes a context and checks it between node reads, so a
 // canceled or expired query returns promptly with ErrCanceled instead of

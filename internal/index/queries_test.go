@@ -20,13 +20,7 @@ type memTree struct {
 	h     int
 }
 
-func (m *memTree) Root() storage.PageID { return m.root }
-func (m *memTree) RootMBB() geom.MBB {
-	if m.root == storage.NilPage {
-		return geom.EmptyMBB()
-	}
-	return m.nodes[m.root].MBB()
-}
+func (m *memTree) Root() storage.PageID                      { return m.root }
 func (m *memTree) ReadNode(id storage.PageID) (*Node, error) { return m.nodes[id], nil }
 func (m *memTree) Height() int                               { return m.h }
 func (m *memTree) NumNodes() int                             { return len(m.nodes) }

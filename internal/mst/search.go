@@ -284,9 +284,8 @@ func (s *searcher) run() error {
 	if root == storage.NilPage {
 		return nil
 	}
-	// Read the root node directly rather than through RootMBB, which
-	// swallows read errors into an empty bound — a corrupt or faulted root
-	// page must surface as a typed error, never as an empty result set.
+	// A corrupt or faulted root page must surface as a typed error, never
+	// as an empty bound and so an empty result set.
 	rootNode, err := s.tree.ReadNode(root)
 	if err != nil {
 		return err

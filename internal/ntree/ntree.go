@@ -39,89 +39,41 @@ import (
 	"mstsearch/internal/trajectory"
 )
 
-// Meta is the persistent root information needed to reopen a tree over a
-// different pager.
-type Meta struct {
-	Root   storage.PageID
-	Height int
-	Nodes  int
-}
-
 // Lookup resolves a trajectory ID to its stored geometry. The tree holds
 // no geometry of its own — distances are computed against the caller's
 // trajectory store, which must outlive the tree and must not mutate
 // indexed trajectories (the DB layer rebuilds on append for this reason).
 type Lookup func(trajectory.ID) *trajectory.Trajectory
 
-// ErrReadOnly is returned when inserting into a reopened tree.
-var ErrReadOnly = errors.New("ntree: tree opened read-only")
-
 // Tree is an N-tree bound to a pager and a trajectory store.
 type Tree struct {
-	pager    storage.Pager
-	lookup   Lookup
-	root     storage.PageID
-	height   int
-	nodes    int
-	maxLeaf  int
-	maxChild int
-	readOnly bool
+	index.Core
+	lookup Lookup
 }
 
 // New creates an empty N-tree on the pager.
 func New(pager storage.Pager, lookup Lookup) *Tree {
-	return &Tree{
-		pager:    pager,
-		lookup:   lookup,
-		root:     storage.NilPage,
-		maxLeaf:  index.MaxMetricLeafEntries(pager.PageSize()),
-		maxChild: index.MaxMetricChildEntries(pager.PageSize()),
-	}
+	return newTree(pager, index.Meta{Root: storage.NilPage}, lookup, false)
 }
 
 // Open reattaches a built tree to a pager for reading.
-func Open(pager storage.Pager, m Meta, lookup Lookup) *Tree {
-	t := New(pager, lookup)
-	t.root, t.height, t.nodes = m.Root, m.Height, m.Nodes
-	t.readOnly = true
-	return t
+func Open(pager storage.Pager, m index.Meta, lookup Lookup) *Tree {
+	return newTree(pager, m, lookup, true)
 }
 
-// Meta returns the tree's reopen information.
-func (t *Tree) Meta() Meta { return Meta{Root: t.root, Height: t.height, Nodes: t.nodes} }
-
-// ReadOnly reports whether the tree was reopened from a snapshot and
-// therefore rejects inserts.
-func (t *Tree) ReadOnly() bool { return t.readOnly }
+func newTree(pager storage.Pager, m index.Meta, lookup Lookup, readOnly bool) *Tree {
+	ps := pager.PageSize()
+	core := index.NewCore(pager, m, index.MaxMetricLeafEntries(ps), index.MaxMetricChildEntries(ps), readOnly)
+	return &Tree{Core: core, lookup: lookup}
+}
 
 // Lookup returns the trajectory resolver the tree was bound to, so a
 // caller can reopen a view of the tree against the same store.
 func (t *Tree) Lookup() Lookup { return t.lookup }
 
-// Root implements index.Index.
-func (t *Tree) Root() storage.PageID { return t.root }
-
-// Height implements index.Index.
-func (t *Tree) Height() int { return t.height }
-
-// NumNodes implements index.Index.
-func (t *Tree) NumNodes() int { return t.nodes }
-
 // ReadMetricNode implements index.MetricTree.
 func (t *Tree) ReadMetricNode(id storage.PageID) (*index.MetricNode, error) {
-	return index.ReadMetricNode(t.pager, id)
-}
-
-// RootMBB implements index.MetricTree.
-func (t *Tree) RootMBB() geom.MBB {
-	if t.root == storage.NilPage {
-		return geom.EmptyMBB()
-	}
-	n, err := t.ReadMetricNode(t.root)
-	if err != nil {
-		return geom.EmptyMBB()
-	}
-	return n.MBB()
+	return index.ReadMetricNode(t.Pager(), id)
 }
 
 var _ index.MetricTree = (*Tree)(nil)
@@ -154,16 +106,15 @@ func (t *Tree) get(id trajectory.ID) (*trajectory.Trajectory, error) {
 }
 
 func (t *Tree) allocNode(leaf bool) (*index.MetricNode, error) {
-	id, err := t.pager.Alloc()
+	id, err := t.AllocPage()
 	if err != nil {
 		return nil, err
 	}
-	t.nodes++
 	return &index.MetricNode{Page: id, Leaf: leaf}, nil
 }
 
 func (t *Tree) writeNode(n *index.MetricNode) error {
-	return index.WriteMetricNode(t.pager, n)
+	return index.WriteMetricNode(t.Pager(), n)
 }
 
 // step is one level of the descent path: the internal node read and the
@@ -177,13 +128,13 @@ type step struct {
 // inserted exactly once; the tree records the ID, sample count, MBB and
 // pivot distance, never the geometry itself.
 func (t *Tree) InsertTrajectory(tr *trajectory.Trajectory) error {
-	if t.readOnly {
-		return ErrReadOnly
+	if t.ReadOnly() {
+		return index.ErrReadOnly
 	}
 	if len(tr.Samples) < 2 {
 		return fmt.Errorf("ntree: trajectory %d has %d samples, need >= 2", tr.ID, len(tr.Samples))
 	}
-	if t.root == storage.NilPage {
+	if t.Root() == storage.NilPage {
 		leaf, err := t.allocNode(true)
 		if err != nil {
 			return err
@@ -198,15 +149,14 @@ func (t *Tree) InsertTrajectory(tr *trajectory.Trajectory) error {
 		if err := t.writeNode(leaf); err != nil {
 			return err
 		}
-		t.root = leaf.Page
-		t.height = 1
+		t.SetRoot(leaf.Page, 1)
 		return nil
 	}
 
 	// Descend to the leaf whose pivot is nearest, recording the path.
 	// Ties break to the first entry, keeping builds deterministic.
 	var path []step
-	page := t.root
+	page := t.Root()
 	for {
 		n, err := t.ReadMetricNode(page)
 		if err != nil {
@@ -241,7 +191,7 @@ func (t *Tree) insertAtLeaf(path []step, leaf *index.MetricNode, tr *trajectory.
 		DistToPivot: BaseDist(piv, tr),
 		MBB:         tr.Bounds(),
 	}
-	if len(leaf.Leaves) < t.maxLeaf {
+	if len(leaf.Leaves) < t.MaxLeaf {
 		leaf.Leaves = append(leaf.Leaves, e)
 		if err := t.writeNode(leaf); err != nil {
 			return err
@@ -360,14 +310,13 @@ func (t *Tree) addChild(path []step, replace, add index.MetricChildEntry, tr *tr
 		if err := t.writeNode(root); err != nil {
 			return err
 		}
-		t.root = root.Page
-		t.height++
+		t.SetRoot(root.Page, t.Height()+1)
 		return nil
 	}
 	last := path[len(path)-1]
 	parent := last.node
 	parent.Children[last.child] = replace
-	if len(parent.Children) < t.maxChild {
+	if len(parent.Children) < t.MaxChild {
 		parent.Children = append(parent.Children, add)
 		if err := t.writeNode(parent); err != nil {
 			return err
@@ -552,9 +501,9 @@ func (t *Tree) updatePath(path []step, tr *trajectory.Trajectory) error {
 // is within the stored radius). It needs the trajectory lookup, so a tree
 // opened without one cannot be checked.
 func (t *Tree) CheckInvariants() error {
-	if t.root == storage.NilPage {
-		if t.height != 0 || t.nodes != 0 {
-			return fmt.Errorf("ntree: empty tree with height %d, %d nodes", t.height, t.nodes)
+	if t.Root() == storage.NilPage {
+		if t.Height() != 0 || t.NumNodes() != 0 {
+			return fmt.Errorf("ntree: empty tree with height %d, %d nodes", t.Height(), t.NumNodes())
 		}
 		return nil
 	}
@@ -568,8 +517,8 @@ func (t *Tree) CheckInvariants() error {
 		}
 		seen++
 		if n.Leaf {
-			if depth != t.height-1 {
-				return agg, nil, fmt.Errorf("ntree: leaf %d at depth %d, want %d", page, depth, t.height-1)
+			if depth != t.Height()-1 {
+				return agg, nil, fmt.Errorf("ntree: leaf %d at depth %d, want %d", page, depth, t.Height()-1)
 			}
 			piv, err := t.get(n.PivotID)
 			if err != nil {
@@ -646,11 +595,11 @@ func (t *Tree) CheckInvariants() error {
 		}
 		return agg, all, nil
 	}
-	if _, _, err := walk(t.root, 0); err != nil {
+	if _, _, err := walk(t.Root(), 0); err != nil {
 		return err
 	}
-	if seen != t.nodes {
-		return fmt.Errorf("ntree: walked %d nodes, metadata says %d", seen, t.nodes)
+	if seen != t.NumNodes() {
+		return fmt.Errorf("ntree: walked %d nodes, metadata says %d", seen, t.NumNodes())
 	}
 	return nil
 }

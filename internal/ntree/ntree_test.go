@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mstsearch/internal/index"
 	"mstsearch/internal/storage"
 	"mstsearch/internal/trajectory"
 )
@@ -75,7 +76,7 @@ func TestOpenReadOnly(t *testing.T) {
 	if err := ro.CheckInvariants(); err != nil {
 		t.Fatalf("reopened tree fails invariants: %v", err)
 	}
-	if err := ro.InsertTrajectory(&trajs[0]); !errors.Is(err, ErrReadOnly) {
+	if err := ro.InsertTrajectory(&trajs[0]); !errors.Is(err, index.ErrReadOnly) {
 		t.Fatalf("insert on reopened tree: %v, want ErrReadOnly", err)
 	}
 }

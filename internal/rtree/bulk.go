@@ -18,41 +18,41 @@ func BulkLoad(pager storage.Pager, entries []index.LeafEntry) (*Tree, error) {
 	if len(entries) == 0 {
 		return t, nil
 	}
-	strSort(entries, t.maxLeaf)
+	strSort(entries, t.MaxLeaf)
 
 	// Pack leaves.
-	level := make([]index.ChildEntry, 0, len(entries)/t.maxLeaf+1)
-	for _, chunk := range evenChunks(len(entries), t.maxLeaf) {
-		n, err := t.allocNode(true)
+	level := make([]index.ChildEntry, 0, len(entries)/t.MaxLeaf+1)
+	for _, chunk := range evenChunks(len(entries), t.MaxLeaf) {
+		n, err := t.AllocNode(true)
 		if err != nil {
 			return nil, err
 		}
 		n.Leaves = append(n.Leaves, entries[chunk[0]:chunk[1]]...)
-		if err := t.write(n); err != nil {
+		if err := t.WriteNode(n); err != nil {
 			return nil, err
 		}
 		level = append(level, index.ChildEntry{MBB: n.MBB(), Page: n.Page})
 	}
-	t.height = 1
+	height := 1
 
 	// Pack upper levels until a single node remains.
 	for len(level) > 1 {
-		next := make([]index.ChildEntry, 0, len(level)/t.maxChild+1)
-		for _, chunk := range evenChunks(len(level), t.maxChild) {
-			n, err := t.allocNode(false)
+		next := make([]index.ChildEntry, 0, len(level)/t.MaxChild+1)
+		for _, chunk := range evenChunks(len(level), t.MaxChild) {
+			n, err := t.AllocNode(false)
 			if err != nil {
 				return nil, err
 			}
 			n.Children = append(n.Children, level[chunk[0]:chunk[1]]...)
-			if err := t.write(n); err != nil {
+			if err := t.WriteNode(n); err != nil {
 				return nil, err
 			}
 			next = append(next, index.ChildEntry{MBB: n.MBB(), Page: n.Page})
 		}
 		level = next
-		t.height++
+		height++
 	}
-	t.root = level[0].Page
+	t.SetRoot(level[0].Page, height)
 	return t, nil
 }
 

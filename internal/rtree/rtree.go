@@ -7,123 +7,51 @@
 package rtree
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"mstsearch/internal/geom"
 	"mstsearch/internal/index"
 	"mstsearch/internal/storage"
+	"mstsearch/internal/trajectory"
 )
 
 // MinFillRatio is the Guttman minimum node occupancy enforced on splits.
 const MinFillRatio = 0.4
 
-// Meta is the persistent root information needed to reopen a tree over a
-// different pager (e.g. a buffer pool wrapped around the same file).
-type Meta struct {
-	Root   storage.PageID
-	Height int
-	Nodes  int
-}
-
-// Tree is a 3D R-tree bound to a pager.
+// Tree is a 3D R-tree bound to a pager. Unlike the TB-tree and the
+// STR-tree it needs no build-time state, so a reopened tree stays
+// writable.
 type Tree struct {
-	pager    storage.Pager
-	root     storage.PageID
-	height   int
-	nodes    int
-	maxLeaf  int
-	maxChild int
+	index.NodeStore
 	minLeaf  int
 	minChild int
 	split    SplitAlgorithm
 }
 
 // New creates an empty tree on the pager.
-func New(pager storage.Pager) *Tree {
-	t := &Tree{pager: pager, root: storage.NilPage}
-	t.initFanout()
-	return t
-}
+func New(pager storage.Pager) *Tree { return Open(pager, index.Meta{Root: storage.NilPage}) }
 
 // Open reattaches a previously built tree (identified by its Meta) to a
 // pager over the same underlying pages.
-func Open(pager storage.Pager, m Meta) *Tree {
-	t := &Tree{pager: pager, root: m.Root, height: m.Height, nodes: m.Nodes}
-	t.initFanout()
+func Open(pager storage.Pager, m index.Meta) *Tree {
+	t := &Tree{NodeStore: index.NewNodeStore(pager, m, false)}
+	t.minLeaf = int(math.Max(1, math.Floor(MinFillRatio*float64(t.MaxLeaf))))
+	t.minChild = int(math.Max(1, math.Floor(MinFillRatio*float64(t.MaxChild))))
 	return t
 }
-
-func (t *Tree) initFanout() {
-	ps := t.pager.PageSize()
-	t.maxLeaf = index.MaxLeafEntries(ps)
-	t.maxChild = index.MaxChildEntries(ps)
-	t.minLeaf = int(math.Max(1, math.Floor(MinFillRatio*float64(t.maxLeaf))))
-	t.minChild = int(math.Max(1, math.Floor(MinFillRatio*float64(t.maxChild))))
-}
-
-// Meta returns the tree's reopen information.
-func (t *Tree) Meta() Meta { return Meta{Root: t.root, Height: t.height, Nodes: t.nodes} }
-
-// Root implements index.Tree.
-func (t *Tree) Root() storage.PageID { return t.root }
-
-// Height implements index.Tree.
-func (t *Tree) Height() int { return t.height }
-
-// NumNodes implements index.Tree.
-func (t *Tree) NumNodes() int { return t.nodes }
-
-// ReadNode implements index.Tree.
-func (t *Tree) ReadNode(id storage.PageID) (*index.Node, error) {
-	return index.ReadNode(t.pager, id)
-}
-
-// RootMBB implements index.Tree.
-func (t *Tree) RootMBB() geom.MBB {
-	if t.root == storage.NilPage {
-		return geom.EmptyMBB()
-	}
-	n, err := t.ReadNode(t.root)
-	if err != nil {
-		return geom.EmptyMBB()
-	}
-	return n.MBB()
-}
-
-// ErrEmptyTree is returned by operations requiring a non-empty tree.
-var ErrEmptyTree = errors.New("rtree: empty tree")
-
-func (t *Tree) allocNode(leaf bool) (*index.Node, error) {
-	id, err := t.pager.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	t.nodes++
-	return &index.Node{
-		Page:     id,
-		Leaf:     leaf,
-		PrevLeaf: storage.NilPage,
-		NextLeaf: storage.NilPage,
-	}, nil
-}
-
-func (t *Tree) write(n *index.Node) error { return index.WriteNode(t.pager, n) }
 
 // Insert adds one trajectory segment using Guttman's algorithm: ChooseLeaf
 // by least volume enlargement, quadratic split on overflow, and MBB
 // adjustment up the insertion path.
 func (t *Tree) Insert(e index.LeafEntry) error {
-	if t.root == storage.NilPage {
-		root, err := t.allocNode(true)
+	if t.Root() == storage.NilPage {
+		root, err := t.AllocNode(true)
 		if err != nil {
 			return err
 		}
 		root.Leaves = append(root.Leaves, e)
-		t.root = root.Page
-		t.height = 1
-		return t.write(root)
+		t.SetRoot(root.Page, 1)
+		return t.WriteNode(root)
 	}
 
 	// Descend, remembering the path.
@@ -131,12 +59,12 @@ func (t *Tree) Insert(e index.LeafEntry) error {
 		path    []*index.Node
 		pathIdx []int
 	)
-	cur, err := t.ReadNode(t.root)
+	cur, err := t.ReadNode(t.Root())
 	if err != nil {
 		return err
 	}
 	for !cur.Leaf {
-		ci := chooseSubtree(cur.Children, e.MBB())
+		ci := index.ChooseSubtree(cur.Children, e.MBB())
 		path = append(path, cur)
 		pathIdx = append(pathIdx, ci)
 		cur, err = t.ReadNode(cur.Children[ci].Page)
@@ -147,12 +75,12 @@ func (t *Tree) Insert(e index.LeafEntry) error {
 
 	cur.Leaves = append(cur.Leaves, e)
 	var split *index.Node
-	if len(cur.Leaves) > t.maxLeaf {
+	if len(cur.Leaves) > t.MaxLeaf {
 		split, err = t.splitLeaf(cur)
 		if err != nil {
 			return err
 		}
-	} else if err := t.write(cur); err != nil {
+	} else if err := t.WriteNode(cur); err != nil {
 		return err
 	}
 
@@ -165,12 +93,12 @@ func (t *Tree) Insert(e index.LeafEntry) error {
 				index.ChildEntry{MBB: split.MBB(), Page: split.Page})
 			split = nil
 		}
-		if len(parent.Children) > t.maxChild {
+		if len(parent.Children) > t.MaxChild {
 			split, err = t.splitInternal(parent)
 			if err != nil {
 				return err
 			}
-		} else if err := t.write(parent); err != nil {
+		} else if err := t.WriteNode(parent); err != nil {
 			return err
 		}
 		cur = parent
@@ -178,7 +106,7 @@ func (t *Tree) Insert(e index.LeafEntry) error {
 
 	if split != nil {
 		// Root split: grow the tree.
-		newRoot, err := t.allocNode(false)
+		newRoot, err := t.AllocNode(false)
 		if err != nil {
 			return err
 		}
@@ -186,27 +114,10 @@ func (t *Tree) Insert(e index.LeafEntry) error {
 			{MBB: cur.MBB(), Page: cur.Page},
 			{MBB: split.MBB(), Page: split.Page},
 		}
-		t.root = newRoot.Page
-		t.height++
-		return t.write(newRoot)
+		t.SetRoot(newRoot.Page, t.Height()+1)
+		return t.WriteNode(newRoot)
 	}
 	return nil
-}
-
-// chooseSubtree picks the child needing least volume enlargement to cover
-// b, breaking ties by smaller volume then lower index.
-func chooseSubtree(children []index.ChildEntry, b geom.MBB) int {
-	best := 0
-	bestEnl := math.Inf(1)
-	bestVol := math.Inf(1)
-	for i, c := range children {
-		enl := c.MBB.Enlargement(b)
-		vol := c.MBB.Volume()
-		if enl < bestEnl || (enl == bestEnl && vol < bestVol) {
-			best, bestEnl, bestVol = i, enl, vol
-		}
-	}
-	return best
 }
 
 func (t *Tree) splitLeaf(n *index.Node) (*index.Node, error) {
@@ -215,17 +126,17 @@ func (t *Tree) splitLeaf(n *index.Node) (*index.Node, error) {
 		boxes[i] = e.MBB()
 	}
 	ga, gb := t.splitGroups(boxes, t.minLeaf)
-	sib, err := t.allocNode(true)
+	sib, err := t.AllocNode(true)
 	if err != nil {
 		return nil, err
 	}
 	oldEntries := n.Leaves
-	n.Leaves = pickLeaves(oldEntries, ga)
-	sib.Leaves = pickLeaves(oldEntries, gb)
-	if err := t.write(n); err != nil {
+	n.Leaves = index.Pick(oldEntries, ga)
+	sib.Leaves = index.Pick(oldEntries, gb)
+	if err := t.WriteNode(n); err != nil {
 		return nil, err
 	}
-	if err := t.write(sib); err != nil {
+	if err := t.WriteNode(sib); err != nil {
 		return nil, err
 	}
 	return sib, nil
@@ -237,17 +148,17 @@ func (t *Tree) splitInternal(n *index.Node) (*index.Node, error) {
 		boxes[i] = c.MBB
 	}
 	ga, gb := t.splitGroups(boxes, t.minChild)
-	sib, err := t.allocNode(false)
+	sib, err := t.AllocNode(false)
 	if err != nil {
 		return nil, err
 	}
 	oldEntries := n.Children
-	n.Children = pickChildren(oldEntries, ga)
-	sib.Children = pickChildren(oldEntries, gb)
-	if err := t.write(n); err != nil {
+	n.Children = index.Pick(oldEntries, ga)
+	sib.Children = index.Pick(oldEntries, gb)
+	if err := t.WriteNode(n); err != nil {
 		return nil, err
 	}
-	if err := t.write(sib); err != nil {
+	if err := t.WriteNode(sib); err != nil {
 		return nil, err
 	}
 	return sib, nil
@@ -261,113 +172,16 @@ func (t *Tree) splitGroups(boxes []geom.MBB, minFill int) ([]int, []int) {
 	return quadraticSplit(boxes, minFill)
 }
 
-func pickLeaves(src []index.LeafEntry, idx []int) []index.LeafEntry {
-	out := make([]index.LeafEntry, len(idx))
-	for i, j := range idx {
-		out[i] = src[j]
-	}
-	return out
+// InsertTrajectory inserts every segment of tr.
+func (t *Tree) InsertTrajectory(tr *trajectory.Trajectory) error {
+	return index.InsertTrajectory(t.Insert, tr)
 }
 
-func pickChildren(src []index.ChildEntry, idx []int) []index.ChildEntry {
-	out := make([]index.ChildEntry, len(idx))
-	for i, j := range idx {
-		out[i] = src[j]
-	}
-	return out
-}
-
-// RangeSearch returns all leaf entries whose MBB intersects box — the
-// classic R-tree window query, used by tests and the range-query examples.
-func (t *Tree) RangeSearch(box geom.MBB) ([]index.LeafEntry, error) {
-	if t.root == storage.NilPage {
-		return nil, nil
-	}
-	var out []index.LeafEntry
-	stack := []storage.PageID{t.root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n, err := t.ReadNode(id)
-		if err != nil {
-			return nil, err
-		}
-		if n.Leaf {
-			for _, e := range n.Leaves {
-				if e.MBB().Intersects(box) {
-					out = append(out, e)
-				}
-			}
-			continue
-		}
-		for _, c := range n.Children {
-			if c.MBB.Intersects(box) {
-				stack = append(stack, c.Page)
-			}
-		}
-	}
-	return out, nil
-}
-
-// CheckInvariants walks the whole tree verifying structural invariants:
-// parent entries bound their subtrees, node occupancy respects the fan-out
-// limits, every leaf sits at the same depth, and the entry/node counters
-// match. It returns the total number of leaf entries.
+// CheckInvariants walks the whole tree verifying its structural
+// invariants, the Guttman minimum fill among them, and returns the total
+// number of leaf entries.
 func (t *Tree) CheckInvariants() (int, error) {
-	if t.root == storage.NilPage {
-		if t.height != 0 || t.nodes != 0 {
-			return 0, fmt.Errorf("rtree: empty tree with height %d nodes %d", t.height, t.nodes)
-		}
-		return 0, nil
-	}
-	entries := 0
-	visited := 0
-	var walk func(id storage.PageID, depth int, bound geom.MBB, isRoot bool) error
-	walk = func(id storage.PageID, depth int, bound geom.MBB, isRoot bool) error {
-		n, err := t.ReadNode(id)
-		if err != nil {
-			return err
-		}
-		visited++
-		if !bound.IsEmpty() && !bound.Contains(n.MBB()) {
-			return fmt.Errorf("rtree: node %d not contained in parent entry", id)
-		}
-		if n.Leaf {
-			if depth != t.height {
-				return fmt.Errorf("rtree: leaf %d at depth %d, height %d", id, depth, t.height)
-			}
-			if len(n.Leaves) > t.maxLeaf {
-				return fmt.Errorf("rtree: leaf %d overflow: %d", id, len(n.Leaves))
-			}
-			if !isRoot && len(n.Leaves) < t.minLeaf {
-				return fmt.Errorf("rtree: leaf %d underflow: %d", id, len(n.Leaves))
-			}
-			entries += len(n.Leaves)
-			return nil
-		}
-		if len(n.Children) > t.maxChild {
-			return fmt.Errorf("rtree: node %d overflow: %d", id, len(n.Children))
-		}
-		if !isRoot && len(n.Children) < t.minChild {
-			return fmt.Errorf("rtree: node %d underflow: %d", id, len(n.Children))
-		}
-		if isRoot && len(n.Children) < 2 {
-			return fmt.Errorf("rtree: internal root with %d children", len(n.Children))
-		}
-		for _, c := range n.Children {
-			if err := walk(c.Page, depth+1, c.MBB, false); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, 1, geom.EmptyMBB(), true); err != nil {
-		return 0, err
-	}
-	if visited != t.nodes {
-		return 0, fmt.Errorf("rtree: visited %d nodes, counter says %d", visited, t.nodes)
-	}
-	return entries, nil
+	return t.NodeStore.CheckInvariants(index.Shape{MinLeaf: t.minLeaf, MinChild: t.minChild})
 }
 
 var _ index.Tree = (*Tree)(nil)

@@ -132,7 +132,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 		box.MaxX = box.MinX + rng.Float64()*30
 		box.MaxY = box.MinY + rng.Float64()*30
 		box.MaxT = box.MinT + rng.Float64()*300
-		got, err := tr.RangeSearch(box)
+		got, err := index.RangeSearch(tr, box)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestBulkLoadEquivalence(t *testing.T) {
 		box.MaxX = box.MinX + 20
 		box.MaxY = box.MinY + 20
 		box.MaxT = box.MinT + 200
-		got, err := tr.RangeSearch(box)
+		got, err := index.RangeSearch(tr, box)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,8 +265,11 @@ func TestOpenWithBufferPool(t *testing.T) {
 		t.Fatalf("buffered traversal should miss on first touch: %+v", s)
 	}
 	// A repeated root read must be served from the buffer.
-	_ = view.RootMBB()
-	_ = view.RootMBB()
+	for i := 0; i < 2; i++ {
+		if _, err := view.ReadNode(view.Root()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if s := bp.Stats(); s.Hits == 0 {
 		t.Fatalf("repeated root read should hit the buffer: %+v", s)
 	}
@@ -284,7 +287,11 @@ func TestRootMBBCoversEverything(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := tr.RootMBB()
+	root, err := tr.ReadNode(tr.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := root.MBB()
 	if !got.Contains(want) || !want.Contains(got) {
 		t.Fatalf("root MBB %+v, want %+v", got, want)
 	}
@@ -402,11 +409,11 @@ func TestRStarTreeInvariantsAndEquivalence(t *testing.T) {
 		box.MaxX = box.MinX + 25
 		box.MaxY = box.MinY + 25
 		box.MaxT = box.MinT + 250
-		a, err := rstar.RangeSearch(box)
+		a, err := index.RangeSearch(rstar, box)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := quad.RangeSearch(box)
+		b, err := index.RangeSearch(quad, box)
 		if err != nil {
 			t.Fatal(err)
 		}

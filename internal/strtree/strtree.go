@@ -18,8 +18,6 @@
 package strtree
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 
 	"mstsearch/internal/geom"
@@ -28,129 +26,66 @@ import (
 	"mstsearch/internal/trajectory"
 )
 
-// Meta is the persistent root information needed to reopen a tree.
-type Meta struct {
-	Root   storage.PageID
-	Height int
-	Nodes  int
-}
-
-// Tree is an STR-tree bound to a pager. The per-trajectory tail table is
-// build-time state; a reopened tree is read-only.
+// Tree is an STR-tree bound to a pager. The per-trajectory tail table and
+// the parent pointers are build-time state; a reopened tree is read-only
+// and never allocates them.
 type Tree struct {
-	pager    storage.Pager
-	root     storage.PageID
-	height   int
-	nodes    int
-	maxLeaf  int
-	maxChild int
+	index.NodeStore
 
-	tail     map[trajectory.ID]storage.PageID
-	tailSeq  map[trajectory.ID]uint32
-	parent   map[storage.PageID]storage.PageID // build-time parent pointers
-	readOnly bool
+	tail    map[trajectory.ID]storage.PageID
+	tailSeq map[trajectory.ID]uint32
+	parent  map[storage.PageID]storage.PageID // build-time parent pointers
 }
 
 // New creates an empty STR-tree on the pager.
 func New(pager storage.Pager) *Tree {
 	return &Tree{
-		pager:    pager,
-		root:     storage.NilPage,
-		maxLeaf:  index.MaxLeafEntries(pager.PageSize()),
-		maxChild: index.MaxChildEntries(pager.PageSize()),
-		tail:     make(map[trajectory.ID]storage.PageID),
-		tailSeq:  make(map[trajectory.ID]uint32),
-		parent:   make(map[storage.PageID]storage.PageID),
+		NodeStore: index.NewNodeStore(pager, index.Meta{Root: storage.NilPage}, false),
+		tail:      make(map[trajectory.ID]storage.PageID),
+		tailSeq:   make(map[trajectory.ID]uint32),
+		parent:    make(map[storage.PageID]storage.PageID),
 	}
 }
 
 // Open reattaches a built tree to a pager for reading.
-func Open(pager storage.Pager, m Meta) *Tree {
-	t := New(pager)
-	t.root, t.height, t.nodes = m.Root, m.Height, m.Nodes
-	t.readOnly = true
-	return t
+func Open(pager storage.Pager, m index.Meta) *Tree {
+	return &Tree{NodeStore: index.NewNodeStore(pager, m, true)}
 }
-
-// Meta returns the tree's reopen information.
-func (t *Tree) Meta() Meta { return Meta{Root: t.root, Height: t.height, Nodes: t.nodes} }
-
-// Root implements index.Tree.
-func (t *Tree) Root() storage.PageID { return t.root }
-
-// Height implements index.Tree.
-func (t *Tree) Height() int { return t.height }
-
-// NumNodes implements index.Tree.
-func (t *Tree) NumNodes() int { return t.nodes }
-
-// ReadNode implements index.Tree.
-func (t *Tree) ReadNode(id storage.PageID) (*index.Node, error) {
-	return index.ReadNode(t.pager, id)
-}
-
-// RootMBB implements index.Tree.
-func (t *Tree) RootMBB() geom.MBB {
-	if t.root == storage.NilPage {
-		return geom.EmptyMBB()
-	}
-	n, err := t.ReadNode(t.root)
-	if err != nil {
-		return geom.EmptyMBB()
-	}
-	return n.MBB()
-}
-
-// ErrReadOnly is returned when inserting into a reopened tree.
-var ErrReadOnly = errors.New("strtree: tree opened read-only")
-
-func (t *Tree) allocNode(leaf bool) (*index.Node, error) {
-	id, err := t.pager.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	t.nodes++
-	return &index.Node{
-		Page:     id,
-		Leaf:     leaf,
-		PrevLeaf: storage.NilPage,
-		NextLeaf: storage.NilPage,
-	}, nil
-}
-
-func (t *Tree) write(n *index.Node) error { return index.WriteNode(t.pager, n) }
 
 // Insert adds one segment, preferring the predecessor's leaf.
 func (t *Tree) Insert(e index.LeafEntry) error {
-	if t.readOnly {
-		return ErrReadOnly
+	if t.ReadOnly() {
+		return index.ErrReadOnly
 	}
-	if t.root == storage.NilPage {
-		root, err := t.allocNode(true)
+	if t.Root() == storage.NilPage {
+		root, err := t.AllocNode(true)
 		if err != nil {
 			return err
 		}
 		root.Leaves = append(root.Leaves, e)
-		t.root = root.Page
-		t.height = 1
+		t.SetRoot(root.Page, 1)
 		t.setTail(e.TrajID, e.SeqNo, root.Page)
-		return t.write(root)
+		return t.WriteNode(root)
 	}
 
 	// Trajectory-preservation fast path: append to the predecessor's leaf
-	// when it has room.
+	// when it has room and can be reached from the root.
 	if tailID, ok := t.tail[e.TrajID]; ok {
-		path, idxs, leafNode, err := t.findLeafPath(tailID)
+		leafNode, err := t.ReadNode(tailID)
 		if err != nil {
 			return err
 		}
-		if leafNode != nil && len(leafNode.Leaves) < t.maxLeaf {
+		path, ok, err := t.LeafPath(t.parent, tailID)
+		if err != nil {
+			return err
+		}
+		if ok && len(leafNode.Leaves) < t.MaxLeaf {
 			leafNode.Leaves = append(leafNode.Leaves, e)
-			if err := t.write(leafNode); err != nil {
+			if err := t.WriteNode(leafNode); err != nil {
 				return err
 			}
 			t.setTail(e.TrajID, e.SeqNo, leafNode.Page)
-			return t.widenPath(path, idxs, e.MBB())
+			return t.WidenPath(path, e.MBB())
 		}
 	}
 
@@ -160,12 +95,7 @@ func (t *Tree) Insert(e index.LeafEntry) error {
 
 // InsertTrajectory appends every segment of tr.
 func (t *Tree) InsertTrajectory(tr *trajectory.Trajectory) error {
-	for i := 0; i < tr.NumSegments(); i++ {
-		if err := t.Insert(index.LeafEntry{TrajID: tr.ID, SeqNo: uint32(i), Seg: tr.Segment(i)}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return index.InsertTrajectory(t.Insert, tr)
 }
 
 // spatialInsert is the standard R-tree insertion used when trajectory
@@ -175,12 +105,12 @@ func (t *Tree) spatialInsert(e index.LeafEntry) error {
 		path    []*index.Node
 		pathIdx []int
 	)
-	cur, err := t.ReadNode(t.root)
+	cur, err := t.ReadNode(t.Root())
 	if err != nil {
 		return err
 	}
 	for !cur.Leaf {
-		ci := chooseSubtree(cur.Children, e.MBB())
+		ci := index.ChooseSubtree(cur.Children, e.MBB())
 		path = append(path, cur)
 		pathIdx = append(pathIdx, ci)
 		cur, err = t.ReadNode(cur.Children[ci].Page)
@@ -191,13 +121,13 @@ func (t *Tree) spatialInsert(e index.LeafEntry) error {
 
 	cur.Leaves = append(cur.Leaves, e)
 	var split *index.Node
-	if len(cur.Leaves) > t.maxLeaf {
+	if len(cur.Leaves) > t.MaxLeaf {
 		split, err = t.splitLeafByTime(cur)
 		if err != nil {
 			return err
 		}
 	} else {
-		if err := t.write(cur); err != nil {
+		if err := t.WriteNode(cur); err != nil {
 			return err
 		}
 		t.setTail(e.TrajID, e.SeqNo, cur.Page)
@@ -212,19 +142,19 @@ func (t *Tree) spatialInsert(e index.LeafEntry) error {
 			t.parent[split.Page] = parent.Page
 			split = nil
 		}
-		if len(parent.Children) > t.maxChild {
+		if len(parent.Children) > t.MaxChild {
 			split, err = t.splitInternal(parent)
 			if err != nil {
 				return err
 			}
-		} else if err := t.write(parent); err != nil {
+		} else if err := t.WriteNode(parent); err != nil {
 			return err
 		}
 		cur = parent
 	}
 
 	if split != nil {
-		newRoot, err := t.allocNode(false)
+		newRoot, err := t.AllocNode(false)
 		if err != nil {
 			return err
 		}
@@ -234,9 +164,8 @@ func (t *Tree) spatialInsert(e index.LeafEntry) error {
 		}
 		t.parent[cur.Page] = newRoot.Page
 		t.parent[split.Page] = newRoot.Page
-		t.root = newRoot.Page
-		t.height++
-		return t.write(newRoot)
+		t.SetRoot(newRoot.Page, t.Height()+1)
+		return t.WriteNode(newRoot)
 	}
 	return nil
 }
@@ -257,16 +186,16 @@ func (t *Tree) splitLeafByTime(n *index.Node) (*index.Node, error) {
 		return a.SeqNo < b.SeqNo
 	})
 	mid := len(n.Leaves) / 2
-	sib, err := t.allocNode(true)
+	sib, err := t.AllocNode(true)
 	if err != nil {
 		return nil, err
 	}
 	sib.Leaves = append(sib.Leaves, n.Leaves[mid:]...)
 	n.Leaves = n.Leaves[:mid]
-	if err := t.write(n); err != nil {
+	if err := t.WriteNode(n); err != nil {
 		return nil, err
 	}
-	if err := t.write(sib); err != nil {
+	if err := t.WriteNode(sib); err != nil {
 		return nil, err
 	}
 	t.refreshTails(n)
@@ -300,170 +229,32 @@ func (t *Tree) splitInternal(n *index.Node) (*index.Node, error) {
 	for i, c := range n.Children {
 		boxes[i] = c.MBB
 	}
-	ga, gb := quadraticSplit(boxes, max(1, t.maxChild*2/5))
-	sib, err := t.allocNode(false)
+	ga, gb := quadraticSplit(boxes, max(1, t.MaxChild*2/5))
+	sib, err := t.AllocNode(false)
 	if err != nil {
 		return nil, err
 	}
 	old := n.Children
-	n.Children = pick(old, ga)
-	sib.Children = pick(old, gb)
+	n.Children = index.Pick(old, ga)
+	sib.Children = index.Pick(old, gb)
 	for _, c := range sib.Children {
 		t.parent[c.Page] = sib.Page // the moved subtrees change parents
 	}
-	if err := t.write(n); err != nil {
+	if err := t.WriteNode(n); err != nil {
 		return nil, err
 	}
-	if err := t.write(sib); err != nil {
+	if err := t.WriteNode(sib); err != nil {
 		return nil, err
 	}
 	return sib, nil
 }
 
-func pick(src []index.ChildEntry, idx []int) []index.ChildEntry {
-	out := make([]index.ChildEntry, len(idx))
-	for i, j := range idx {
-		out[i] = src[j]
-	}
-	return out
-}
-
-// findLeafPath locates the internal path from root to the given leaf by
-// walking the build-time parent map upward and resolving each child index,
-// costing O(height · fan-out) instead of a tree-wide search. Returns nil
-// leafNode if the leaf is not reachable (stale pointer).
-func (t *Tree) findLeafPath(leafID storage.PageID) ([]*index.Node, []int, *index.Node, error) {
-	if t.root == storage.NilPage {
-		return nil, nil, nil, nil
-	}
-	leaf, err := t.ReadNode(leafID)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if leafID == t.root {
-		return []*index.Node{}, []int{}, leaf, nil
-	}
-	var (
-		revNodes []*index.Node
-		revIdx   []int
-	)
-	cur := leafID
-	for cur != t.root {
-		p, ok := t.parent[cur]
-		if !ok {
-			return nil, nil, nil, nil
-		}
-		pn, err := t.ReadNode(p)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ci := -1
-		for i, c := range pn.Children {
-			if c.Page == cur {
-				ci = i
-				break
-			}
-		}
-		if ci < 0 {
-			return nil, nil, nil, nil // stale parent pointer
-		}
-		revNodes = append(revNodes, pn)
-		revIdx = append(revIdx, ci)
-		cur = p
-	}
-	// Reverse to root-first order.
-	nodes := make([]*index.Node, len(revNodes))
-	idxs := make([]int, len(revIdx))
-	for i := range revNodes {
-		nodes[len(nodes)-1-i] = revNodes[i]
-		idxs[len(idxs)-1-i] = revIdx[i]
-	}
-	return nodes, idxs, leaf, nil
-}
-
-// widenPath expands the MBB entries along a path to cover the grown box.
-func (t *Tree) widenPath(path []*index.Node, idxs []int, grown geom.MBB) error {
-	for i := len(path) - 1; i >= 0; i-- {
-		n := path[i]
-		cur := n.Children[idxs[i]].MBB
-		widened := cur.Expand(grown)
-		if widened == cur {
-			return nil
-		}
-		n.Children[idxs[i]].MBB = widened
-		if err := t.write(n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// chooseSubtree picks the least-enlargement child (ties: smaller volume).
-func chooseSubtree(children []index.ChildEntry, b geom.MBB) int {
-	best := 0
-	bestEnl := -1.0
-	bestVol := -1.0
-	for i, c := range children {
-		enl := c.MBB.Enlargement(b)
-		vol := c.MBB.Volume()
-		if bestEnl < 0 || enl < bestEnl || (enl == bestEnl && vol < bestVol) {
-			best, bestEnl, bestVol = i, enl, vol
-		}
-	}
-	return best
-}
-
-// CheckInvariants verifies containment, occupancy, uniform leaf depth and
-// the node counter, returning the total entry count.
-func (t *Tree) CheckInvariants() (int, error) {
-	if t.root == storage.NilPage {
-		if t.height != 0 || t.nodes != 0 {
-			return 0, fmt.Errorf("strtree: empty tree with height %d nodes %d", t.height, t.nodes)
-		}
-		return 0, nil
-	}
-	entries, visited := 0, 0
-	var walk func(id storage.PageID, depth int, bound geom.MBB) error
-	walk = func(id storage.PageID, depth int, bound geom.MBB) error {
-		n, err := t.ReadNode(id)
-		if err != nil {
-			return err
-		}
-		visited++
-		if !bound.IsEmpty() && !bound.Contains(n.MBB()) {
-			return fmt.Errorf("strtree: node %d not contained in parent entry", id)
-		}
-		if n.Leaf {
-			if depth != t.height {
-				return fmt.Errorf("strtree: leaf %d at depth %d, height %d", id, depth, t.height)
-			}
-			if len(n.Leaves) == 0 || len(n.Leaves) > t.maxLeaf {
-				return fmt.Errorf("strtree: leaf %d occupancy %d", id, len(n.Leaves))
-			}
-			entries += len(n.Leaves)
-			return nil
-		}
-		if len(n.Children) == 0 || len(n.Children) > t.maxChild {
-			return fmt.Errorf("strtree: node %d occupancy %d", id, len(n.Children))
-		}
-		for _, c := range n.Children {
-			if err := walk(c.Page, depth+1, c.MBB); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, 1, geom.EmptyMBB()); err != nil {
-		return 0, err
-	}
-	if visited != t.nodes {
-		return 0, fmt.Errorf("strtree: visited %d nodes, counter says %d", visited, t.nodes)
-	}
-	return entries, nil
-}
-
-// quadraticSplit partitions boxes into two groups (Guttman quadratic, as
-// in package rtree; duplicated locally to keep packages self-contained).
+// quadraticSplit partitions boxes into two groups. It seeds like Guttman's
+// quadratic split but is not package rtree's split: it has no PickNext,
+// assigning the remaining boxes in index order to the group needing less
+// enlargement, and it meets minFill afterwards by moving the last-assigned
+// entries across. STR-tree pages depend on it, so it is kept apart from
+// rtree's (see DESIGN.md, "The paged-tree core").
 func quadraticSplit(boxes []geom.MBB, minFill int) (groupA, groupB []int) {
 	n := len(boxes)
 	sa, sb := 0, 1
@@ -503,6 +294,12 @@ func quadraticSplit(boxes []geom.MBB, minFill int) (groupA, groupB []int) {
 		groupA = groupA[:len(groupA)-1]
 	}
 	return groupA, groupB
+}
+
+// CheckInvariants walks the whole tree verifying its structural
+// invariants and returns the total entry count.
+func (t *Tree) CheckInvariants() (int, error) {
+	return t.NodeStore.CheckInvariants(index.Shape{})
 }
 
 var _ index.Tree = (*Tree)(nil)

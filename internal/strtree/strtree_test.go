@@ -1,6 +1,7 @@
 package strtree
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -168,7 +169,7 @@ func TestOpenReadOnly(t *testing.T) {
 	if _, err := view.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if err := view.Insert(index.LeafEntry{}); err != ErrReadOnly {
+	if err := view.Insert(index.LeafEntry{}); !errors.Is(err, index.ErrReadOnly) {
 		t.Fatalf("insert into reopened tree = %v", err)
 	}
 }
@@ -178,8 +179,8 @@ func TestEmptyTree(t *testing.T) {
 	if cnt, err := tr.CheckInvariants(); err != nil || cnt != 0 {
 		t.Fatalf("empty: %d, %v", cnt, err)
 	}
-	if !tr.RootMBB().IsEmpty() {
-		t.Fatal("empty tree must report empty MBB")
+	if tr.Root() != storage.NilPage {
+		t.Fatal("empty tree must have no root")
 	}
 }
 
@@ -232,5 +233,22 @@ func TestGenericRangeSearchOnSTRTree(t *testing.T) {
 		if len(got) != want {
 			t.Fatalf("query %d: got %d, want %d", q, len(got), want)
 		}
+	}
+}
+
+var viewSink *Tree
+
+// TestOpenAllocatesOnlyTheCore: a read view rejects inserts before it
+// would touch the build state, so opening one builds the core alone.
+func TestOpenAllocatesOnlyTheCore(t *testing.T) {
+	f := storage.NewFile(1024)
+	tr := New(f)
+	traj := randTraj(rand.New(rand.NewSource(8)), 1, 60)
+	if err := tr.InsertTrajectory(&traj); err != nil {
+		t.Fatal(err)
+	}
+	m := tr.Meta()
+	if n := testing.AllocsPerRun(100, func() { viewSink = Open(f, m) }); n != 1 {
+		t.Fatalf("opening an STR-tree view costs %v allocations, want 1", n)
 	}
 }

@@ -18,114 +18,44 @@
 package tbtree
 
 import (
-	"errors"
 	"fmt"
 
-	"mstsearch/internal/geom"
 	"mstsearch/internal/index"
 	"mstsearch/internal/storage"
 	"mstsearch/internal/trajectory"
 )
 
-// Meta is the persistent root information needed to reopen a tree over a
-// different pager.
-type Meta struct {
-	Root   storage.PageID
-	Height int
-	Nodes  int
-}
-
 // Tree is a TB-tree bound to a pager. The per-trajectory tail-leaf table
-// and the rightmost path cache are build-time state; a reopened tree is
-// read-only.
+// and the parent pointers are build-time state; a reopened tree is
+// read-only and never allocates them.
 type Tree struct {
-	pager    storage.Pager
-	root     storage.PageID
-	height   int
-	nodes    int
-	maxLeaf  int
-	maxChild int
+	index.NodeStore
 
 	// Build state.
-	tail     map[trajectory.ID]storage.PageID  // newest leaf per trajectory
-	parent   map[storage.PageID]storage.PageID // parent pointers for O(height) path lookup
-	readOnly bool
+	tail   map[trajectory.ID]storage.PageID  // newest leaf per trajectory
+	parent map[storage.PageID]storage.PageID // parent pointers for O(height) path lookup
 }
 
 // New creates an empty TB-tree on the pager.
 func New(pager storage.Pager) *Tree {
 	return &Tree{
-		pager:    pager,
-		root:     storage.NilPage,
-		maxLeaf:  index.MaxLeafEntries(pager.PageSize()),
-		maxChild: index.MaxChildEntries(pager.PageSize()),
-		tail:     make(map[trajectory.ID]storage.PageID),
-		parent:   make(map[storage.PageID]storage.PageID),
+		NodeStore: index.NewNodeStore(pager, index.Meta{Root: storage.NilPage}, false),
+		tail:      make(map[trajectory.ID]storage.PageID),
+		parent:    make(map[storage.PageID]storage.PageID),
 	}
 }
 
 // Open reattaches a built tree to a pager for reading.
-func Open(pager storage.Pager, m Meta) *Tree {
-	t := New(pager)
-	t.root, t.height, t.nodes = m.Root, m.Height, m.Nodes
-	t.readOnly = true
-	return t
+func Open(pager storage.Pager, m index.Meta) *Tree {
+	return &Tree{NodeStore: index.NewNodeStore(pager, m, true)}
 }
-
-// Meta returns the tree's reopen information.
-func (t *Tree) Meta() Meta { return Meta{Root: t.root, Height: t.height, Nodes: t.nodes} }
-
-// Root implements index.Tree.
-func (t *Tree) Root() storage.PageID { return t.root }
-
-// Height implements index.Tree.
-func (t *Tree) Height() int { return t.height }
-
-// NumNodes implements index.Tree.
-func (t *Tree) NumNodes() int { return t.nodes }
-
-// ReadNode implements index.Tree.
-func (t *Tree) ReadNode(id storage.PageID) (*index.Node, error) {
-	return index.ReadNode(t.pager, id)
-}
-
-// RootMBB implements index.Tree.
-func (t *Tree) RootMBB() geom.MBB {
-	if t.root == storage.NilPage {
-		return geom.EmptyMBB()
-	}
-	n, err := t.ReadNode(t.root)
-	if err != nil {
-		return geom.EmptyMBB()
-	}
-	return n.MBB()
-}
-
-// ErrReadOnly is returned when inserting into a reopened tree.
-var ErrReadOnly = errors.New("tbtree: tree opened read-only")
-
-func (t *Tree) allocNode(leaf bool) (*index.Node, error) {
-	id, err := t.pager.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	t.nodes++
-	return &index.Node{
-		Page:     id,
-		Leaf:     leaf,
-		PrevLeaf: storage.NilPage,
-		NextLeaf: storage.NilPage,
-	}, nil
-}
-
-func (t *Tree) write(n *index.Node) error { return index.WriteNode(t.pager, n) }
 
 // Insert appends one segment. Segments of each trajectory must arrive in
 // temporal order (their natural order); interleaving different
 // trajectories is fine.
 func (t *Tree) Insert(e index.LeafEntry) error {
-	if t.readOnly {
-		return ErrReadOnly
+	if t.ReadOnly() {
+		return index.ErrReadOnly
 	}
 	// Fast path: the trajectory's tail leaf has room.
 	if tailID, ok := t.tail[e.TrajID]; ok {
@@ -133,37 +63,47 @@ func (t *Tree) Insert(e index.LeafEntry) error {
 		if err != nil {
 			return err
 		}
-		if len(leafNode.Leaves) < t.maxLeaf {
+		if len(leafNode.Leaves) < t.MaxLeaf {
 			leafNode.Leaves = append(leafNode.Leaves, e)
-			if err := t.write(leafNode); err != nil {
+			if err := t.WriteNode(leafNode); err != nil {
 				return err
 			}
-			return t.adjustRightPathOrRefind(tailID, e.MBB())
+			// The tail leaf is almost always on (or near) the rightmost
+			// path, but interleaved trajectories scatter tails away from
+			// it, so widen the leaf's own path.
+			path, ok, err := t.LeafPath(t.parent, tailID)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				return fmt.Errorf("tbtree: leaf %d not reachable from root", tailID)
+			}
+			return t.WidenPath(path, e.MBB())
 		}
 		// Tail full: start a new leaf chained after it.
-		newLeaf, err := t.allocNode(true)
+		newLeaf, err := t.AllocNode(true)
 		if err != nil {
 			return err
 		}
 		newLeaf.Leaves = append(newLeaf.Leaves, e)
 		newLeaf.PrevLeaf = tailID
 		leafNode.NextLeaf = newLeaf.Page
-		if err := t.write(leafNode); err != nil {
+		if err := t.WriteNode(leafNode); err != nil {
 			return err
 		}
-		if err := t.write(newLeaf); err != nil {
+		if err := t.WriteNode(newLeaf); err != nil {
 			return err
 		}
 		t.tail[e.TrajID] = newLeaf.Page
 		return t.attachLeaf(newLeaf)
 	}
 	// First segment of this trajectory.
-	newLeaf, err := t.allocNode(true)
+	newLeaf, err := t.AllocNode(true)
 	if err != nil {
 		return err
 	}
 	newLeaf.Leaves = append(newLeaf.Leaves, e)
-	if err := t.write(newLeaf); err != nil {
+	if err := t.WriteNode(newLeaf); err != nil {
 		return err
 	}
 	t.tail[e.TrajID] = newLeaf.Page
@@ -172,18 +112,17 @@ func (t *Tree) Insert(e index.LeafEntry) error {
 
 // attachLeaf hooks a fresh leaf into the tree along the rightmost path.
 func (t *Tree) attachLeaf(leaf *index.Node) error {
-	if t.root == storage.NilPage {
-		t.root = leaf.Page
-		t.height = 1
+	if t.Root() == storage.NilPage {
+		t.SetRoot(leaf.Page, 1)
 		return nil
 	}
-	if t.height == 1 {
+	if t.Height() == 1 {
 		// Root is a leaf: grow an internal root above both.
-		oldRoot, err := t.ReadNode(t.root)
+		oldRoot, err := t.ReadNode(t.Root())
 		if err != nil {
 			return err
 		}
-		newRoot, err := t.allocNode(false)
+		newRoot, err := t.AllocNode(false)
 		if err != nil {
 			return err
 		}
@@ -193,9 +132,8 @@ func (t *Tree) attachLeaf(leaf *index.Node) error {
 		}
 		t.parent[oldRoot.Page] = newRoot.Page
 		t.parent[leaf.Page] = newRoot.Page
-		t.root = newRoot.Page
-		t.height = 2
-		return t.write(newRoot)
+		t.SetRoot(newRoot.Page, 2)
+		return t.WriteNode(newRoot)
 	}
 
 	// Descend the rightmost path to the lowest internal level.
@@ -206,10 +144,10 @@ func (t *Tree) attachLeaf(leaf *index.Node) error {
 	entry := index.ChildEntry{MBB: leaf.MBB(), Page: leaf.Page}
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
-		if len(n.Children) < t.maxChild {
+		if len(n.Children) < t.MaxChild {
 			n.Children = append(n.Children, entry)
 			t.parent[entry.Page] = n.Page
-			if err := t.write(n); err != nil {
+			if err := t.WriteNode(n); err != nil {
 				return err
 			}
 			// Refresh ancestor MBBs for the grown subtree.
@@ -217,39 +155,37 @@ func (t *Tree) attachLeaf(leaf *index.Node) error {
 		}
 		// Node full: start a sibling holding the carried entry and carry
 		// the sibling upward.
-		sib, err := t.allocNode(false)
+		sib, err := t.AllocNode(false)
 		if err != nil {
 			return err
 		}
 		sib.Children = []index.ChildEntry{entry}
 		t.parent[entry.Page] = sib.Page
-		if err := t.write(sib); err != nil {
+		if err := t.WriteNode(sib); err != nil {
 			return err
 		}
 		entry = index.ChildEntry{MBB: sib.MBB(), Page: sib.Page}
 	}
 	// The root itself was full: grow a new root.
-	newRoot, err := t.allocNode(false)
+	newRoot, err := t.AllocNode(false)
 	if err != nil {
 		return err
 	}
-	oldRootMBB := path[0].MBB()
 	newRoot.Children = []index.ChildEntry{
-		{MBB: oldRootMBB, Page: path[0].Page},
+		{MBB: path[0].MBB(), Page: path[0].Page},
 		entry,
 	}
 	t.parent[path[0].Page] = newRoot.Page
 	t.parent[entry.Page] = newRoot.Page
-	t.root = newRoot.Page
-	t.height++
-	return t.write(newRoot)
+	t.SetRoot(newRoot.Page, t.Height()+1)
+	return t.WriteNode(newRoot)
 }
 
 // rightmostPath reads the internal nodes along the rightmost spine, from
 // root down to the lowest internal level.
 func (t *Tree) rightmostPath() ([]*index.Node, error) {
 	var path []*index.Node
-	cur, err := t.ReadNode(t.root)
+	cur, err := t.ReadNode(t.Root())
 	if err != nil {
 		return nil, err
 	}
@@ -279,128 +215,16 @@ func (t *Tree) refreshPathMBBs(path []*index.Node) error {
 			return err
 		}
 		n.Children[li].MBB = child.MBB()
-		if err := t.write(n); err != nil {
+		if err := t.WriteNode(n); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// adjustRightPathOrRefind widens ancestor MBBs after appending to the
-// trajectory's tail leaf. The tail leaf is almost always on (or near) the
-// rightmost path; when it is not, locate it by search and widen that path
-// instead.
-func (t *Tree) adjustRightPathOrRefind(leafID storage.PageID, grown geom.MBB) error {
-	path, idxs, err := t.findLeafPath(leafID)
-	if err != nil {
-		return err
-	}
-	if path == nil {
-		return fmt.Errorf("tbtree: leaf %d not reachable from root", leafID)
-	}
-	for i := len(path) - 1; i >= 0; i-- {
-		n := path[i]
-		cur := n.Children[idxs[i]].MBB
-		widened := cur.Expand(grown)
-		if widened == cur {
-			return nil // ancestors already cover the new entry
-		}
-		n.Children[idxs[i]].MBB = widened
-		if err := t.write(n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// findLeafPath locates the internal path from root to the given leaf by
-// walking the build-time parent map upward (O(height · fan-out)), so tail
-// appends stay cheap even when many trajectories interleave and tails
-// scatter away from the rightmost spine. Returns parallel slices of nodes
-// and child indexes.
-func (t *Tree) findLeafPath(leafID storage.PageID) ([]*index.Node, []int, error) {
-	if t.root == storage.NilPage {
-		return nil, nil, nil
-	}
-	if leafID == t.root {
-		return []*index.Node{}, []int{}, nil
-	}
-	var (
-		revNodes []*index.Node
-		revIdx   []int
-	)
-	cur := leafID
-	for cur != t.root {
-		p, ok := t.parent[cur]
-		if !ok {
-			return nil, nil, nil
-		}
-		pn, err := t.ReadNode(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		ci := -1
-		for i, c := range pn.Children {
-			if c.Page == cur {
-				ci = i
-				break
-			}
-		}
-		if ci < 0 {
-			return nil, nil, nil // stale parent pointer
-		}
-		revNodes = append(revNodes, pn)
-		revIdx = append(revIdx, ci)
-		cur = p
-	}
-	nodes := make([]*index.Node, len(revNodes))
-	idxs := make([]int, len(revIdx))
-	for i := range revNodes {
-		nodes[len(nodes)-1-i] = revNodes[i]
-		idxs[len(idxs)-1-i] = revIdx[i]
-	}
-	return nodes, idxs, nil
 }
 
 // InsertTrajectory appends every segment of tr.
 func (t *Tree) InsertTrajectory(tr *trajectory.Trajectory) error {
-	for i := 0; i < tr.NumSegments(); i++ {
-		if err := t.Insert(index.LeafEntry{TrajID: tr.ID, SeqNo: uint32(i), Seg: tr.Segment(i)}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RangeSearch returns all leaf entries whose MBB intersects box.
-func (t *Tree) RangeSearch(box geom.MBB) ([]index.LeafEntry, error) {
-	if t.root == storage.NilPage {
-		return nil, nil
-	}
-	var out []index.LeafEntry
-	stack := []storage.PageID{t.root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n, err := t.ReadNode(id)
-		if err != nil {
-			return nil, err
-		}
-		if n.Leaf {
-			for _, e := range n.Leaves {
-				if e.MBB().Intersects(box) {
-					out = append(out, e)
-				}
-			}
-			continue
-		}
-		for _, c := range n.Children {
-			if c.MBB.Intersects(box) {
-				stack = append(stack, c.Page)
-			}
-		}
-	}
-	return out, nil
+	return index.InsertTrajectory(t.Insert, tr)
 }
 
 // WalkChain follows the leaf chain of the trajectory whose newest leaf is
@@ -428,65 +252,25 @@ func (t *Tree) TailLeaf(id trajectory.ID) (storage.PageID, bool) {
 	return p, ok
 }
 
-// CheckInvariants verifies the TB-tree structural invariants: parent
-// entries bound their subtrees, every leaf holds segments of exactly one
-// trajectory in seq order, all leaves are at the same depth, occupancy
-// limits hold, and the node counter matches. Returns total leaf entries.
+// CheckInvariants walks the whole tree verifying its structural
+// invariants, the TB-tree's own among them: every leaf holds consecutive
+// segments of exactly one trajectory. Returns total leaf entries.
 func (t *Tree) CheckInvariants() (int, error) {
-	if t.root == storage.NilPage {
-		if t.height != 0 || t.nodes != 0 {
-			return 0, fmt.Errorf("tbtree: empty tree with height %d nodes %d", t.height, t.nodes)
+	return t.NodeStore.CheckInvariants(index.Shape{Leaf: checkBundle})
+}
+
+// checkBundle is the TB-tree's leaf rule: one trajectory, seq order.
+func checkBundle(n *index.Node) error {
+	first := n.Leaves[0]
+	for i, e := range n.Leaves {
+		if e.TrajID != first.TrajID {
+			return fmt.Errorf("tbtree: leaf %d mixes trajectories %d and %d", n.Page, first.TrajID, e.TrajID)
 		}
-		return 0, nil
+		if i > 0 && e.SeqNo != n.Leaves[i-1].SeqNo+1 {
+			return fmt.Errorf("tbtree: leaf %d has non-consecutive seq", n.Page)
+		}
 	}
-	entries, visited := 0, 0
-	var walk func(id storage.PageID, depth int, bound geom.MBB) error
-	walk = func(id storage.PageID, depth int, bound geom.MBB) error {
-		n, err := t.ReadNode(id)
-		if err != nil {
-			return err
-		}
-		visited++
-		if !bound.IsEmpty() && !bound.Contains(n.MBB()) {
-			return fmt.Errorf("tbtree: node %d not contained in parent entry", id)
-		}
-		if n.Leaf {
-			if depth != t.height {
-				return fmt.Errorf("tbtree: leaf %d at depth %d, height %d", id, depth, t.height)
-			}
-			if len(n.Leaves) == 0 || len(n.Leaves) > t.maxLeaf {
-				return fmt.Errorf("tbtree: leaf %d occupancy %d", id, len(n.Leaves))
-			}
-			first := n.Leaves[0]
-			for i, e := range n.Leaves {
-				if e.TrajID != first.TrajID {
-					return fmt.Errorf("tbtree: leaf %d mixes trajectories %d and %d",
-						id, first.TrajID, e.TrajID)
-				}
-				if i > 0 && e.SeqNo != n.Leaves[i-1].SeqNo+1 {
-					return fmt.Errorf("tbtree: leaf %d has non-consecutive seq", id)
-				}
-			}
-			entries += len(n.Leaves)
-			return nil
-		}
-		if len(n.Children) == 0 || len(n.Children) > t.maxChild {
-			return fmt.Errorf("tbtree: node %d occupancy %d", id, len(n.Children))
-		}
-		for _, c := range n.Children {
-			if err := walk(c.Page, depth+1, c.MBB); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, 1, geom.EmptyMBB()); err != nil {
-		return 0, err
-	}
-	if visited != t.nodes {
-		return 0, fmt.Errorf("tbtree: visited %d nodes, counter says %d", visited, t.nodes)
-	}
-	return entries, nil
+	return nil
 }
 
 var _ index.Tree = (*Tree)(nil)

@@ -1,6 +1,7 @@
 package tbtree
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -191,7 +192,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 		box.MaxX = box.MinX + rng.Float64()*30
 		box.MaxY = box.MinY + rng.Float64()*30
 		box.MaxT = box.MinT + rng.Float64()*20
-		got, err := tr.RangeSearch(box)
+		got, err := index.RangeSearch(tr, box)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,11 +221,11 @@ func TestOpenReadOnly(t *testing.T) {
 	if _, err := view.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if err := view.Insert(index.LeafEntry{}); err != ErrReadOnly {
+	if err := view.Insert(index.LeafEntry{}); !errors.Is(err, index.ErrReadOnly) {
 		t.Fatalf("insert into reopened tree = %v, want ErrReadOnly", err)
 	}
-	if view.RootMBB().IsEmpty() {
-		t.Fatal("reopened tree must expose the root MBB")
+	if root, err := view.ReadNode(view.Root()); err != nil || root.MBB().IsEmpty() {
+		t.Fatalf("reopened tree must expose the root MBB: %v", err)
 	}
 }
 
@@ -254,12 +255,12 @@ func TestEmptyTree(t *testing.T) {
 	if cnt, err := tr.CheckInvariants(); err != nil || cnt != 0 {
 		t.Fatalf("empty invariants: %d, %v", cnt, err)
 	}
-	got, err := tr.RangeSearch(geom.MBB{MaxX: 1, MaxY: 1, MaxT: 1})
+	got, err := index.RangeSearch(tr, geom.MBB{MaxX: 1, MaxY: 1, MaxT: 1})
 	if err != nil || got != nil {
 		t.Fatalf("empty range search: %v, %v", got, err)
 	}
-	if !tr.RootMBB().IsEmpty() {
-		t.Fatal("empty tree must have empty MBB")
+	if tr.Root() != storage.NilPage {
+		t.Fatal("empty tree must have no root")
 	}
 }
 
@@ -273,5 +274,22 @@ func BenchmarkInsertTrajectory(b *testing.B) {
 		if err := tr.InsertTrajectory(&traj); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var viewSink *Tree
+
+// TestOpenAllocatesOnlyTheCore: a read view rejects inserts before it
+// would touch the build state, so opening one builds the core alone.
+func TestOpenAllocatesOnlyTheCore(t *testing.T) {
+	f := storage.NewFile(1024)
+	tr := New(f)
+	traj := randTraj(rand.New(rand.NewSource(8)), 1, 60)
+	if err := tr.InsertTrajectory(&traj); err != nil {
+		t.Fatal(err)
+	}
+	m := tr.Meta()
+	if n := testing.AllocsPerRun(100, func() { viewSink = Open(f, m) }); n != 1 {
+		t.Fatalf("opening a TB-tree view costs %v allocations, want 1", n)
 	}
 }

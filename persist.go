@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"mstsearch/internal/index"
 	"mstsearch/internal/storage"
 	"mstsearch/internal/wal"
 )
@@ -190,7 +191,7 @@ func WriteFileAtomic(path string, data []byte) (err error) {
 
 // indexMeta returns the active tree's root metadata in a common shape.
 // Callers must hold db.mu (either side): it reads the engine's handles.
-func (db *DB) indexMeta() treeMeta { return db.eng.meta() }
+func (db *DB) indexMeta() index.Meta { return db.eng.meta() }
 
 // Load reads a database snapshot written by Save. The returned DB serves
 // queries; further Adds go to the same in-memory page file.
@@ -308,8 +309,8 @@ func Load(path string) (*DB, error) {
 	// writable (its insert needs no build-time state); the other kinds
 	// reopen read-only — their build-time state (per-trajectory tail
 	// tables, pivot assignments) is not in the snapshot — so mutations on
-	// those return the structure's ErrReadOnly until a Recover rebuilds.
-	db.eng = db.openEngine(db.kind, db.file, treeMeta{
+	// those return index.ErrReadOnly until a Recover rebuilds.
+	db.eng = db.openEngine(db.kind, db.file, index.Meta{
 		Root: storage.PageID(root), Height: int(height), Nodes: int(nodes),
 	})
 	if db.vmax == 0 {

@@ -106,14 +106,6 @@ func IndexKinds() []IndexKind {
 	return out
 }
 
-// treeMeta is the root metadata every engine exposes in a common shape,
-// the (root, height, nodes) triple the snapshot header stores.
-type treeMeta struct {
-	Root   storage.PageID
-	Height int
-	Nodes  int
-}
-
 // errRebuildRequired is an engine's way of telling the DB that it cannot
 // apply an incremental append and the index must be rebuilt from the
 // trajectory store instead (the N-tree: a new tail segment changes the
@@ -125,7 +117,7 @@ var errRebuildRequired = errors.New("mstsearch: index append requires rebuild")
 // the DB serializes calls through its lock.
 type indexEngine interface {
 	// meta returns the root metadata for the snapshot header.
-	meta() treeMeta
+	meta() index.Meta
 	// view opens a read view of the index over the given pager. Search
 	// code type-switches the result to the capability it needs
 	// (index.Tree for MBB search, index.MetricTree for metric search).
@@ -136,7 +128,7 @@ type indexEngine interface {
 	// appendSegment indexes one new tail segment (the AppendSample
 	// path); tr already includes the new sample. Engines that cannot
 	// append incrementally return errRebuildRequired, and read-only
-	// loaded engines return their structure's ErrReadOnly.
+	// loaded engines return index.ErrReadOnly.
 	appendSegment(e index.LeafEntry, tr *Trajectory) error
 }
 
@@ -147,13 +139,13 @@ type indexEngine interface {
 func (db *DB) newEngine(kind IndexKind, file storage.Pager) indexEngine {
 	switch kind {
 	case TBTree:
-		return &tbEngine{t: tbtree.New(file)}
+		return &mbbEngine{t: tbtree.New(file), open: openTBTree}
 	case STRTree:
-		return &strEngine{t: strtree.New(file)}
+		return &mbbEngine{t: strtree.New(file), open: openSTRTree}
 	case NTree:
 		return &ntreeEngine{t: ntree.New(file, db.lookupLocked)}
 	default:
-		return &rtreeEngine{t: rtree.New(file)}
+		return &mbbEngine{t: rtree.New(file), open: openRTree}
 	}
 }
 
@@ -165,79 +157,54 @@ func (db *DB) lookupLocked(id ID) *Trajectory { return db.get(id) }
 // openEngine rebinds a snapshot's engine over its restored page file. A
 // reopened 3D R-tree stays writable; the other kinds reopen read-only
 // (their build-time state is not in the snapshot), rejecting mutations
-// with their structure's ErrReadOnly until a Recover rebuilds them.
-func (db *DB) openEngine(kind IndexKind, file storage.Pager, m treeMeta) indexEngine {
+// with index.ErrReadOnly until a Recover rebuilds them.
+func (db *DB) openEngine(kind IndexKind, file storage.Pager, m index.Meta) indexEngine {
 	switch kind {
 	case TBTree:
-		return &tbEngine{t: tbtree.Open(file, tbtree.Meta{Root: m.Root, Height: m.Height, Nodes: m.Nodes})}
+		return &mbbEngine{t: tbtree.Open(file, m), open: openTBTree}
 	case STRTree:
-		return &strEngine{t: strtree.Open(file, strtree.Meta{Root: m.Root, Height: m.Height, Nodes: m.Nodes})}
+		return &mbbEngine{t: strtree.Open(file, m), open: openSTRTree}
 	case NTree:
-		return &ntreeEngine{t: ntree.Open(file, ntree.Meta{Root: m.Root, Height: m.Height, Nodes: m.Nodes}, db.lookupLocked)}
+		return &ntreeEngine{t: ntree.Open(file, m, db.lookupLocked)}
 	default:
-		return &rtreeEngine{t: rtree.Open(file, rtree.Meta{Root: m.Root, Height: m.Height, Nodes: m.Nodes})}
+		return &mbbEngine{t: rtree.Open(file, m), open: openRTree}
 	}
 }
 
-type rtreeEngine struct{ t *rtree.Tree }
-
-func (e *rtreeEngine) meta() treeMeta {
-	m := e.t.Meta()
-	return treeMeta{Root: m.Root, Height: m.Height, Nodes: m.Nodes}
+// mbbTree is what the DB needs of an MBB tree kind: the k-MST read
+// interface, its reopen information and its insertion.
+type mbbTree interface {
+	index.Tree
+	Meta() index.Meta
+	Insert(index.LeafEntry) error
+	InsertTrajectory(*Trajectory) error
 }
 
-func (e *rtreeEngine) view(p storage.Pager) index.Index { return rtree.Open(p, e.t.Meta()) }
+// The reopen functions of the MBB kinds, which a view opens per query.
+func openRTree(p storage.Pager, m index.Meta) mbbTree   { return rtree.Open(p, m) }
+func openTBTree(p storage.Pager, m index.Meta) mbbTree  { return tbtree.Open(p, m) }
+func openSTRTree(p storage.Pager, m index.Meta) mbbTree { return strtree.Open(p, m) }
 
-func (e *rtreeEngine) insertTrajectory(tr *Trajectory) error {
-	for s := 0; s < tr.NumSegments(); s++ {
-		le := index.LeafEntry{TrajID: tr.ID, SeqNo: uint32(s), Seg: tr.Segment(s)}
-		if err := e.t.Insert(le); err != nil {
-			return err
-		}
-	}
-	return nil
+// mbbEngine adapts any MBB tree kind; only the tree and its reopen
+// function differ between kinds.
+type mbbEngine struct {
+	t    mbbTree
+	open func(storage.Pager, index.Meta) mbbTree
 }
 
-func (e *rtreeEngine) appendSegment(le index.LeafEntry, _ *Trajectory) error {
-	return e.t.Insert(le)
-}
+func (e *mbbEngine) meta() index.Meta { return e.t.Meta() }
 
-type tbEngine struct{ t *tbtree.Tree }
+func (e *mbbEngine) view(p storage.Pager) index.Index { return e.open(p, e.t.Meta()) }
 
-func (e *tbEngine) meta() treeMeta {
-	m := e.t.Meta()
-	return treeMeta{Root: m.Root, Height: m.Height, Nodes: m.Nodes}
-}
+func (e *mbbEngine) insertTrajectory(tr *Trajectory) error { return e.t.InsertTrajectory(tr) }
 
-func (e *tbEngine) view(p storage.Pager) index.Index { return tbtree.Open(p, e.t.Meta()) }
-
-func (e *tbEngine) insertTrajectory(tr *Trajectory) error { return e.t.InsertTrajectory(tr) }
-
-func (e *tbEngine) appendSegment(le index.LeafEntry, _ *Trajectory) error {
-	return e.t.Insert(le)
-}
-
-type strEngine struct{ t *strtree.Tree }
-
-func (e *strEngine) meta() treeMeta {
-	m := e.t.Meta()
-	return treeMeta{Root: m.Root, Height: m.Height, Nodes: m.Nodes}
-}
-
-func (e *strEngine) view(p storage.Pager) index.Index { return strtree.Open(p, e.t.Meta()) }
-
-func (e *strEngine) insertTrajectory(tr *Trajectory) error { return e.t.InsertTrajectory(tr) }
-
-func (e *strEngine) appendSegment(le index.LeafEntry, _ *Trajectory) error {
+func (e *mbbEngine) appendSegment(le index.LeafEntry, _ *Trajectory) error {
 	return e.t.Insert(le)
 }
 
 type ntreeEngine struct{ t *ntree.Tree }
 
-func (e *ntreeEngine) meta() treeMeta {
-	m := e.t.Meta()
-	return treeMeta{Root: m.Root, Height: m.Height, Nodes: m.Nodes}
-}
+func (e *ntreeEngine) meta() index.Meta { return e.t.Meta() }
 
 func (e *ntreeEngine) view(p storage.Pager) index.Index {
 	return ntree.Open(p, e.t.Meta(), e.t.Lookup())
@@ -249,7 +216,7 @@ func (e *ntreeEngine) appendSegment(_ index.LeafEntry, _ *Trajectory) error {
 	// A loaded tree behaves like the loaded TB/STR trees: appends are
 	// rejected until a Recover rebuilds it writable.
 	if e.t.ReadOnly() {
-		return ntree.ErrReadOnly
+		return index.ErrReadOnly
 	}
 	return errRebuildRequired
 }
