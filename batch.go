@@ -22,17 +22,12 @@ type BatchQuery struct {
 	Metric    Metric
 	MetricEps float64
 
-	// Ctx, when non-nil, governs this slot alone: the slot aborts when
-	// either Ctx or the batch-level context is done, so a serving layer
-	// can coalesce requests with different deadlines onto one batch
-	// without the shortest deadline canceling its neighbours. Nil means
-	// the batch-level context alone.
+	// Ctx, when non-nil, is this slot's own context (a request's
+	// deadline); RunBatch states how it combines with the batch's.
 	Ctx context.Context
 
-	// Opts, when non-nil, overrides the batch-level Options for this slot
-	// (per-tenant budgets under a shared executor). Parallelism is still
-	// taken from the batch-level Options — it sizes the worker pool, a
-	// batch-wide property. Nil means the batch-level Options.
+	// Opts, when non-nil, is this slot's own Options (a tenant's
+	// budgets); RunBatch states how it combines with the batch's.
 	Opts *Options
 }
 
@@ -45,40 +40,73 @@ type BatchResult struct {
 	Err     error
 }
 
-// KMostSimilarBatch answers many k-MST queries as one unit of work on a
-// bounded worker pool — the serving-path executor for query-heavy
-// workloads. Results come back in input order.
-//
-// Concurrency: opts.Parallelism caps the worker goroutines (<= 0 means
-// GOMAXPROCS; the cap never exceeds the batch size). Every query of the
-// batch reads through one shared warm buffer — the DB's warm pool when
-// EnableWarmBuffer is on, otherwise a batch-local striped pool with the
-// paper's capacity policy — so repeated page accesses across the batch hit
-// cache instead of re-paying physical reads. Results are bit-identical to
-// running each query serially with the same Options: workers never share
-// mutable search state, and intra-query parallel refinement is
-// admission-deterministic.
+// KMostSimilarBatch answers many k-MST queries as one unit of work under
+// RunBatch's slot contract — the serving-path executor for query-heavy
+// workloads. Every query reads through one shared warm buffer (the warm
+// pool when EnableWarmBuffer is on, otherwise a batch-local striped pool
+// with the paper's capacity policy), so pages one slot faults in are hits
+// for the next. Results are bit-identical to running each query serially
+// with the same Options.
 //
 // Snapshot semantics: the batch holds the DB's read lock for its whole
 // duration, so mutations (Add, AppendSample, Recover) wait for the batch
 // and every query in it sees the same index version.
-//
-// Cancellation: ctx aborts queries between node visits; already-finished
-// slots keep their results and canceled slots report an error wrapping
-// ErrCanceled.
 func (db *DB) KMostSimilarBatch(ctx context.Context, queries []BatchQuery, opts Options) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-
 	bp := db.queryPager()
 	if db.warm == nil {
 		// queryPager built a plain per-query pool; a batch wants one warm
 		// shared pool across its workers instead.
 		bp = storage.NewSharedPaperPool(db.wrappedFile())
+	}
+	return RunBatch(ctx, queries, opts, func(ctx context.Context, req Request) (Response, error) {
+		start := time.Now()
+		res, st, err := db.kMostSimilarOn(ctx, bp, req.Q, req.Interval.T1, req.Interval.T2, req.K, req.Metric, req.MetricEps, req.Options)
+		db.finishQuery("batch", metBatch, start, req, st, err)
+		return Response{Results: res, Stats: st}, err
+	})
+}
+
+// RunBatch is the batch contract every engine shares (DB and
+// shard.Cluster run their KMostSimilarBatch through it); run answers one
+// slot's Request under the engine's snapshot. For each slot it:
+//
+//   - builds the Request from every BatchQuery field, Metric and MetricEps
+//     included;
+//   - runs it under the slot's Ctx when set, additionally canceled when ctx
+//     is done (the slot's Ctx is primary, so its deadline surfaces as
+//     ErrDeadlineExceeded), and under ctx otherwise;
+//   - uses the slot's Opts when set, opts otherwise, with Parallelism
+//     always taken from opts: it sizes the worker pool, a batch-wide
+//     property.
+//
+// Slots run on opts.Parallelism workers (<= 0 means GOMAXPROCS), never
+// more than the batch size, inline when that is one. Results come back in
+// input order; a slot's failure is its BatchResult.Err alone, and a
+// canceled slot reports an error wrapping ErrCanceled.
+func RunBatch(ctx context.Context, queries []BatchQuery, opts Options, run func(context.Context, Request) (Response, error)) []BatchResult {
+	out := make([]BatchResult, len(queries))
+	slot := func(i int) {
+		bq := queries[i]
+		req := Request{
+			Q: bq.Q, Interval: Interval{T1: bq.T1, T2: bq.T2}, K: bq.K,
+			Metric: bq.Metric, MetricEps: bq.MetricEps, Options: opts,
+		}
+		if bq.Opts != nil {
+			req.Options = *bq.Opts
+			req.Options.Parallelism = opts.Parallelism
+		}
+		slotCtx := ctx
+		if bq.Ctx != nil {
+			var cancel context.CancelFunc
+			slotCtx, cancel = context.WithCancel(bq.Ctx)
+			defer cancel()
+			unlink := context.AfterFunc(ctx, cancel)
+			defer unlink()
+		}
+		resp, err := run(slotCtx, req)
+		out[i] = BatchResult{Results: resp.Results, Stats: resp.Stats, Err: err}
 	}
 
 	workers := opts.Parallelism
@@ -88,7 +116,12 @@ func (db *DB) KMostSimilarBatch(ctx context.Context, queries []BatchQuery, opts 
 	if workers > len(queries) {
 		workers = len(queries)
 	}
-
+	if workers <= 1 {
+		for i := range queries {
+			slot(i)
+		}
+		return out
+	}
 	var wg sync.WaitGroup
 	work := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -96,14 +129,7 @@ func (db *DB) KMostSimilarBatch(ctx context.Context, queries []BatchQuery, opts 
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				bq := queries[i]
-				slotCtx, slotOpts, stop := slotContext(ctx, bq, opts)
-				start := time.Now()
-				res, st, err := db.kMostSimilarOn(slotCtx, bp, bq.Q, bq.T1, bq.T2, bq.K, bq.Metric, bq.MetricEps, slotOpts)
-				stop()
-				out[i] = BatchResult{Results: res, Stats: st, Err: err}
-				d := metBatch.record(start, st.Degraded, err)
-				db.slow.observe("batch", d, bq.K, Interval{bq.T1, bq.T2}, st, err)
+				slot(i)
 			}
 		}()
 	}
@@ -113,33 +139,4 @@ func (db *DB) KMostSimilarBatch(ctx context.Context, queries []BatchQuery, opts 
 	close(work)
 	wg.Wait()
 	return out
-}
-
-// slotContext resolves one batch slot's effective context and options:
-// the slot's own Ctx (linked to the batch context, so either aborts it)
-// and Opts when set, the batch-level values otherwise. stop releases the
-// linkage resources and must be called when the slot finishes.
-func slotContext(batchCtx context.Context, bq BatchQuery, batchOpts Options) (context.Context, Options, context.CancelFunc) {
-	opts := batchOpts
-	if bq.Opts != nil {
-		opts = *bq.Opts
-		opts.Parallelism = batchOpts.Parallelism // pool sizing stays batch-wide
-	}
-	if bq.Ctx == nil {
-		return batchCtx, opts, func() {}
-	}
-	ctx, stop := mergeCancel(bq.Ctx, batchCtx)
-	return ctx, opts, stop
-}
-
-// mergeCancel derives a context from primary that is additionally
-// canceled when secondary is done. The primary carries the values and
-// deadline; secondary contributes only its cancellation signal.
-func mergeCancel(primary, secondary context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(primary)
-	unlink := context.AfterFunc(secondary, cancel)
-	return ctx, func() {
-		unlink()
-		cancel()
-	}
 }

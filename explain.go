@@ -59,19 +59,8 @@ func (db *DB) Explain(ctx context.Context, req Request) (*ExplainReport, error) 
 	rep := &ExplainReport{K: req.K, Interval: req.Interval}
 	o := req.Options
 	user := o.Trace
-	rep.Trace.ByKind = make(map[EventKind]int)
 	o.Trace = func(ev TraceEvent) {
-		rep.Trace.Events++
-		rep.Trace.ByKind[ev.Kind]++
-		if ev.Kind == EventNodeVisit {
-			for len(rep.Levels) <= ev.Level {
-				rep.Levels = append(rep.Levels, LevelAccesses{Level: len(rep.Levels)})
-			}
-			rep.Levels[ev.Level].Nodes++
-			if ev.Leaf {
-				rep.Levels[ev.Level].Leaves++
-			}
-		}
+		rep.Observe(ev)
 		if user != nil {
 			user(ev)
 		}
@@ -83,6 +72,27 @@ func (db *DB) Explain(ctx context.Context, req Request) (*ExplainReport, error) 
 		return nil, err
 	}
 	return rep, nil
+}
+
+// Observe folds one trace event into the report's event totals and, for a
+// node visit, its per-level counts — the fold every engine's Explain uses.
+// It does not lock: an engine whose searches emit concurrently serializes it.
+func (r *ExplainReport) Observe(ev TraceEvent) {
+	if r.Trace.ByKind == nil {
+		r.Trace.ByKind = make(map[EventKind]int)
+	}
+	r.Trace.Events++
+	r.Trace.ByKind[ev.Kind]++
+	if ev.Kind != EventNodeVisit {
+		return
+	}
+	for len(r.Levels) <= ev.Level {
+		r.Levels = append(r.Levels, LevelAccesses{Level: len(r.Levels)})
+	}
+	r.Levels[ev.Level].Nodes++
+	if ev.Leaf {
+		r.Levels[ev.Level].Leaves++
+	}
 }
 
 // explainLocked prices and runs the query under one read snapshot.

@@ -16,147 +16,81 @@ import (
 // exactly one shard, so the union is duplicate-free; hits come back sorted
 // by (trajectory, sequence number) for a deterministic cluster-wide order.
 func (c *Cluster) Range(ctx context.Context, w mstsearch.Window, iv mstsearch.Interval) ([]mstsearch.SegmentHit, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	n := len(c.sets)
-	hits := make([][]mstsearch.SegmentHit, n)
-	errs := make([]error, n)
-	runBounded(n, c.workers(), func(i int) {
-		errs[i] = c.sets[i].read(nil, func(db *mstsearch.DB) error {
-			var err error
-			hits[i], err = db.Range(ctx, w, iv)
-			return err
-		})
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	var out []mstsearch.SegmentHit
-	for _, h := range hits {
-		out = append(out, h...)
-	}
+	out, err := gather(c, func(db *mstsearch.DB) ([]mstsearch.SegmentHit, error) { return db.Range(ctx, w, iv) })
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].TrajID != out[j].TrajID {
 			return out[i].TrajID < out[j].TrajID
 		}
 		return out[i].SeqNo < out[j].SeqNo
 	})
-	return out, nil
+	return out, err
 }
 
 // Nearest returns the k moving objects closest to (x, y) at instant t,
 // merged from every shard's local k-NN answer by (distance, trajectory ID).
 func (c *Cluster) Nearest(ctx context.Context, x, y, t float64, k int) ([]mstsearch.Neighbor, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	n := len(c.sets)
-	res := make([][]mstsearch.Neighbor, n)
-	errs := make([]error, n)
-	runBounded(n, c.workers(), func(i int) {
-		errs[i] = c.sets[i].read(nil, func(db *mstsearch.DB) error {
-			var err error
-			res[i], err = db.Nearest(ctx, x, y, t, k)
-			return err
-		})
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	var all []mstsearch.Neighbor
-	for _, r := range res {
-		all = append(all, r...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
+	out, err := gather(c, func(db *mstsearch.DB) ([]mstsearch.Neighbor, error) { return db.Nearest(ctx, x, y, t, k) })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Dist != out[j].Dist {
+			return out[i].Dist < out[j].Dist
 		}
-		return all[i].TrajID < all[j].TrajID
+		return out[i].TrajID < out[j].TrajID
 	})
-	if k >= 0 && len(all) > k {
-		all = all[:k]
+	if k >= 0 && len(out) > k {
+		out = out[:k]
 	}
-	return all, nil
+	return out, err
 }
 
 // Topology classifies every stored trajectory touching the window during
 // the interval, gathered from all shards and sorted by trajectory ID (the
 // same order a single DB reports).
 func (c *Cluster) Topology(ctx context.Context, w mstsearch.Window, iv mstsearch.Interval) ([]mstsearch.TopologyResult, error) {
+	out, err := gather(c, func(db *mstsearch.DB) ([]mstsearch.TopologyResult, error) { return db.Topology(ctx, w, iv) })
+	sort.Slice(out, func(i, j int) bool { return out[i].TrajID < out[j].TrajID })
+	return out, err
+}
+
+// gather runs read on every shard's preferred replica (with failover)
+// under the cluster read lock, at most c.workers() shards at a time, and
+// concatenates the answers in shard order. The lowest-index shard's error
+// wins, keeping multi-shard failure surfacing deterministic; on error the
+// result is nil.
+func gather[T any](c *Cluster, read func(db *mstsearch.DB) ([]T, error)) ([]T, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	n := len(c.sets)
-	res := make([][]mstsearch.TopologyResult, n)
+	parts := make([][]T, n)
 	errs := make([]error, n)
 	runBounded(n, c.workers(), func(i int) {
 		errs[i] = c.sets[i].read(nil, func(db *mstsearch.DB) error {
 			var err error
-			res[i], err = db.Topology(ctx, w, iv)
+			parts[i], err = read(db)
 			return err
 		})
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
-	var out []mstsearch.TopologyResult
-	for _, r := range res {
-		out = append(out, r...)
+	var out []T
+	for _, p := range parts {
+		out = append(out, p...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TrajID < out[j].TrajID })
 	return out, nil
 }
 
-// KMostSimilarBatch answers many k-MST queries against the cluster as one
-// unit of work, with the same contract as mstsearch.DB.KMostSimilarBatch:
-// results in input order, per-slot failure isolation, per-slot Ctx/Opts
-// overrides, and snapshot semantics — the batch holds the cluster read
-// lock for its whole duration, so cluster mutations wait and every slot
-// sees the same contents. opts.Parallelism caps concurrent slots; each
-// slot runs its own scatter-gather (bounded separately by
-// Options.Workers).
+// KMostSimilarBatch answers many k-MST queries against the cluster under
+// mstsearch.RunBatch's slot contract, each slot a full scatter-gather
+// (bounded separately by Options.Workers). Snapshot semantics: the batch
+// holds the cluster read lock for its whole duration, so cluster mutations
+// wait and every slot sees the same contents.
 func (c *Cluster) KMostSimilarBatch(ctx context.Context, queries []mstsearch.BatchQuery, opts mstsearch.Options) []mstsearch.BatchResult {
-	out := make([]mstsearch.BatchResult, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = c.workers()
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	runBounded(len(queries), workers, func(i int) {
-		bq := queries[i]
-		slotOpts := opts
-		if bq.Opts != nil {
-			slotOpts = *bq.Opts
-		}
-		slotCtx, stop := mergeCancel(ctx, bq.Ctx)
-		resp, _, err := c.queryLocked(slotCtx, mstsearch.Request{
-			Q: bq.Q, Interval: mstsearch.Interval{T1: bq.T1, T2: bq.T2},
-			K: bq.K, Options: slotOpts,
-		})
-		stop()
-		out[i] = mstsearch.BatchResult{Results: resp.Results, Stats: resp.Stats, Err: err}
+	return mstsearch.RunBatch(ctx, queries, opts, func(ctx context.Context, req mstsearch.Request) (mstsearch.Response, error) {
+		resp, _, err := c.queryLocked(ctx, req)
+		return resp, err
 	})
-	return out
-}
-
-// mergeCancel derives a context from primary that is additionally canceled
-// when secondary is done; a nil secondary means primary alone.
-func mergeCancel(primary, secondary context.Context) (context.Context, context.CancelFunc) {
-	if secondary == nil {
-		return primary, func() {}
-	}
-	ctx, cancel := context.WithCancel(primary)
-	unlink := context.AfterFunc(secondary, cancel)
-	return ctx, func() {
-		unlink()
-		cancel()
-	}
 }
 
 // Explain runs the request across the cluster with tracing on and reports
@@ -176,16 +110,11 @@ func (c *Cluster) Explain(ctx context.Context, req mstsearch.Request) (*mstsearc
 		Interval:     req.Interval,
 		Trajectories: len(c.dir),
 	}
-	for _, rs := range c.sets {
-		if _, db := rs.preferred(); db != nil {
-			rep.Segments += db.NumSegments()
-		}
-	}
 
 	// Aggregate the shards' cost models (each shard's preferred replica
-	// speaks for it): workloads add; the corridor radius is the widest
-	// any shard predicts; selectivity is weighted by each shard's share
-	// of the segments.
+	// speaks for it): segments and workloads add; the corridor radius is
+	// the widest any shard predicts; selectivity is weighted by each
+	// shard's share of the segments.
 	var selWeighted float64
 	for i, rs := range c.sets {
 		_, db := rs.preferred()
@@ -196,35 +125,26 @@ func (c *Cluster) Explain(ctx context.Context, req mstsearch.Request) (*mstsearc
 		if err != nil {
 			return nil, err
 		}
+		segs := db.NumSegments()
+		rep.Segments += segs
 		rep.Estimate.ExpectedSegments += est.ExpectedSegments
 		rep.Estimate.ExpectedLeafPages += est.ExpectedLeafPages
 		if est.CorridorRadius > rep.Estimate.CorridorRadius {
 			rep.Estimate.CorridorRadius = est.CorridorRadius
 		}
-		selWeighted += est.RangeSelectivity * float64(db.NumSegments())
+		selWeighted += est.RangeSelectivity * float64(segs)
 	}
 	if rep.Segments > 0 {
 		rep.Estimate.RangeSelectivity = selWeighted / float64(rep.Segments)
 	}
 
-	// Count every event — shard searches run concurrently, so the hook
+	// Fold every event — shard searches run concurrently, so the hook
 	// locks; user hooks still see each event, per the Explain contract.
 	var mu sync.Mutex
 	user := req.Options.Trace
-	rep.Trace.ByKind = make(map[mstsearch.EventKind]int)
 	req.Options.Trace = func(ev mstsearch.TraceEvent) {
 		mu.Lock()
-		rep.Trace.Events++
-		rep.Trace.ByKind[ev.Kind]++
-		if ev.Kind == mstsearch.EventNodeVisit {
-			for len(rep.Levels) <= ev.Level {
-				rep.Levels = append(rep.Levels, mstsearch.LevelAccesses{Level: len(rep.Levels)})
-			}
-			rep.Levels[ev.Level].Nodes++
-			if ev.Leaf {
-				rep.Levels[ev.Level].Leaves++
-			}
-		}
+		rep.Observe(ev)
 		mu.Unlock()
 		if user != nil {
 			user(ev)

@@ -2,6 +2,7 @@ package mstsearch_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -155,6 +156,62 @@ func TestShardedBatchOracle(t *testing.T) {
 		}
 		mstsearch.CheckBitIdentical(t, "cluster-batch", i, serial[i], br.Results)
 	}
+}
+
+// TestShardedMetricBatchOracle certifies that a batch slot's metric reaches
+// the cluster: DTW, LCSS and EDR slots of a KMostSimilarBatch over an
+// N-tree cluster are bit-identical to the same Request on a single DB, and
+// on an RTree3D cluster every DTW slot fails with ErrBadQuery, as a direct
+// Query does.
+func TestShardedMetricBatchOracle(t *testing.T) {
+	trajs := gstd.Generate(gstd.Config{NumObjects: 30, SamplesPerObject: 61, Seed: 8}).Trajs
+	single, err := mstsearch.NewDB(mstsearch.NTree, trajs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := []struct {
+		m   mstsearch.Metric
+		eps float64
+	}{{mstsearch.MetricDTW, 0}, {mstsearch.MetricLCSS, 0.05}, {mstsearch.MetricEDR, 0.05}}
+	rng := rand.New(rand.NewSource(9))
+	const slots = 12
+	batch := make([]mstsearch.BatchQuery, slots)
+	want := make([][]mstsearch.Result, slots)
+	for i := range batch {
+		q := mstsearch.OracleQueryTraj(rng, 41)
+		t1, t2 := mstsearch.OracleQueryWindow(rng)
+		mc := metrics[i%len(metrics)]
+		batch[i] = mstsearch.BatchQuery{Q: q, T1: t1, T2: t2, K: 1 + rng.Intn(5), Metric: mc.m, MetricEps: mc.eps}
+		resp, err := single.Query(context.Background(), mstsearch.Request{
+			Q: q, Interval: mstsearch.Interval{T1: t1, T2: t2}, K: batch[i].K,
+			Metric: mc.m, MetricEps: mc.eps, Options: oracleOptions(),
+		})
+		if err != nil {
+			t.Fatalf("slot %d single: %v", i, err)
+		}
+		want[i] = resp.Results
+	}
+	opts := oracleOptions()
+	opts.Parallelism = 3
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("N%d", n), func(t *testing.T) {
+			c := buildCluster(t, mstsearch.NTree, n, shard.HashPlacement{}, shard.Options{}, trajs)
+			for i, br := range c.KMostSimilarBatch(context.Background(), batch, opts) {
+				if br.Err != nil {
+					t.Fatalf("slot %d (%s): %v", i, batch[i].Metric, br.Err)
+				}
+				mstsearch.CheckBitIdentical(t, "metric-cluster-batch", i, want[i], br.Results)
+			}
+		})
+	}
+	t.Run("RTree3D", func(t *testing.T) {
+		c := buildCluster(t, mstsearch.RTree3D, 2, shard.HashPlacement{}, shard.Options{}, trajs)
+		for i, br := range c.KMostSimilarBatch(context.Background(), batch, opts) {
+			if batch[i].Metric == mstsearch.MetricDTW && !errors.Is(br.Err, mstsearch.ErrBadQuery) {
+				t.Fatalf("DTW slot %d on an RTree3D cluster: err %v, want ErrBadQuery", i, br.Err)
+			}
+		}
+	})
 }
 
 // TestShardPruning pins the coordinator's whole-shard pruning: spatially
