@@ -95,21 +95,22 @@ type gap struct {
 	dStart, dEnd float64
 }
 
-func (p *Partial) gaps() []gap {
-	var gs []gap
+// gapBefore returns the span between interval i and the one before it (the
+// query period's start for i = 0; for i = len(ivs), the span from the last
+// interval to the period's end), and whether it is wider than the
+// contiguity tolerance. The bounds walk i = 0..len(ivs) in place, so they
+// allocate nothing.
+func (p *Partial) gapBefore(i int) (gap, bool) {
 	nan := math.NaN()
-	cur := p.QStart
-	curD := nan
-	for _, iv := range p.ivs {
-		if iv.T1-cur > p.eps {
-			gs = append(gs, gap{cur, iv.T1, curD, iv.D1})
-		}
-		cur, curD = iv.T2, iv.D2
+	cur, curD := p.QStart, nan
+	if i > 0 {
+		cur, curD = p.ivs[i-1].T2, p.ivs[i-1].D2
 	}
-	if p.QEnd-cur > p.eps {
-		gs = append(gs, gap{cur, p.QEnd, curD, nan})
+	if i == len(p.ivs) {
+		return gap{cur, p.QEnd, curD, nan}, p.QEnd-cur > p.eps
 	}
-	return gs
+	iv := &p.ivs[i]
+	return gap{cur, iv.T1, curD, iv.D1}, iv.T1-cur > p.eps
 }
 
 // OptDissim returns OPTDISSIM (Definition 3): a certified lower bound on
@@ -119,8 +120,10 @@ func (p *Partial) gaps() []gap {
 // (the §4.4 error-management rule folded in).
 func (p *Partial) OptDissim(vmax float64) float64 {
 	opt := p.known.Lower()
-	for _, g := range p.gaps() {
-		opt += optGap(g, vmax)
+	for i := 0; i <= len(p.ivs); i++ {
+		if g, ok := p.gapBefore(i); ok {
+			opt += optGap(g, vmax)
+		}
 	}
 	return opt
 }
@@ -162,10 +165,12 @@ func optGap(g gap, vmax float64) float64 {
 // added per §4.4.
 func (p *Partial) PesDissim(vmax float64) float64 {
 	pes := p.known.Upper()
-	for _, g := range p.gaps() {
-		pes += pesGap(g, vmax)
-		if math.IsInf(pes, 1) {
-			break
+	for i := 0; i <= len(p.ivs); i++ {
+		if g, ok := p.gapBefore(i); ok {
+			pes += pesGap(g, vmax)
+			if math.IsInf(pes, 1) {
+				break
+			}
 		}
 	}
 	return pes

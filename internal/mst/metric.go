@@ -2,7 +2,6 @@ package mst
 
 import (
 	"cmp"
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -356,11 +355,11 @@ func (s *metricSearcher) run() error {
 	if math.IsInf(rootBound, 1) {
 		return nil
 	}
-	heap.Push(&s.queue, queueItem{page: root, dist: rootBound, level: 0})
+	s.queue.push(queueItem{page: root, dist: rootBound, level: 0})
 	s.stats.Enqueued++
 	s.emitMetric(TraceEvent{Kind: EventNodeEnqueue, Page: root, Level: 0, MBB: rootNode.MBB(), MinDist: rootBound})
 
-	for s.queue.Len() > 0 {
+	for len(s.queue) > 0 {
 		if err := index.Canceled(s.ctx); err != nil {
 			return err
 		}
@@ -370,7 +369,7 @@ func (s *metricSearcher) run() error {
 			s.emitMetric(TraceEvent{Kind: EventBudgetExhausted, Budget: budget, MinDist: s.queue[0].dist})
 			return nil
 		}
-		it := heap.Pop(&s.queue).(queueItem)
+		it := s.queue.pop()
 		s.heapPops++
 		// Early termination: bounds leave the heap in non-decreasing
 		// order (children are clamped to their parent), so once the head
@@ -418,7 +417,7 @@ func (s *metricSearcher) run() error {
 				})
 				continue
 			}
-			heap.Push(&s.queue, queueItem{page: c.Page, dist: lb, level: it.level + 1})
+			s.queue.push(queueItem{page: c.Page, dist: lb, level: it.level + 1})
 			s.stats.Enqueued++
 			s.emitMetric(TraceEvent{
 				Kind: EventNodeEnqueue, Page: c.Page, Level: it.level + 1,

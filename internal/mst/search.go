@@ -17,12 +17,12 @@
 package mst
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"mstsearch/internal/debugassert"
@@ -165,17 +165,46 @@ type queueItem struct {
 	level int
 }
 
+// nodeQueue is the best-first queue, a binary min-heap on dist. push and
+// pop are container/heap's sift-up and sift-down written out for this one
+// element type: nodes of equal MINDIST leave in the same order as through
+// container/heap, and no item is boxed in an interface on the way in or
+// out.
 type nodeQueue []queueItem
 
-func (q nodeQueue) Len() int           { return len(q) }
-func (q nodeQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q nodeQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *nodeQueue) Push(x any)        { *q = append(*q, x.(queueItem)) }
-func (q *nodeQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
+func (q *nodeQueue) push(it queueItem) {
+	*q = append(*q, it)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *nodeQueue) pop() queueItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	it := h[n]
+	*q = h[:n]
 	return it
 }
 
@@ -194,6 +223,7 @@ type candidate struct {
 	partial *dissim.Partial
 	state   candState
 	lo, hi  float64
+	inLeaf  bool // listed in searcher.touched for the leaf being swept
 }
 
 // searcher carries one query's mutable state.
@@ -207,7 +237,15 @@ type searcher struct {
 	stats Stats
 
 	queue nodeQueue
-	cands map[trajectory.ID]*candidate
+	cands map[trajectory.ID]*candidate // admitted candidates and ExcludeIDs placeholders
+	live  []*candidate                 // admitted candidates, in admission order
+
+	// Scratch reused at every leaf and every τ refresh: the leaf's entries
+	// when they need sorting, the candidates the leaf touched, and the
+	// live upper bounds τ is picked from.
+	sorted  []index.LeafEntry
+	touched []*candidate
+	his     []float64
 
 	tau      float64 // cached k-th smallest hi over candidates
 	tauDirty bool
@@ -220,7 +258,8 @@ type searcher struct {
 	// and the certification floor of degraded results.
 	unseenDist float64
 
-	segTraj trajectory.Trajectory // reusable 2-sample wrapper
+	segTraj    trajectory.Trajectory // reusable 2-sample wrapper over segSamples
+	segSamples [2]trajectory.Sample
 
 	heapPops int // pop operations (>= NodesAccessed; tracing/metrics only)
 
@@ -260,7 +299,7 @@ func SearchContext(ctx context.Context, tree index.Tree, q *trajectory.Trajector
 		unseenDist: math.Inf(1),
 	}
 	s.stats.TotalNodes = tree.NumNodes()
-	s.segTraj.Samples = make([]trajectory.Sample, 2)
+	s.segTraj.Samples = s.segSamples[:]
 	for _, id := range opts.ExcludeIDs {
 		s.cands[id] = &candidate{id: id, state: stateRejected, hi: math.Inf(1)}
 	}
@@ -298,11 +337,11 @@ func (s *searcher) run() error {
 	if !ok {
 		return nil
 	}
-	heap.Push(&s.queue, queueItem{page: root, dist: d, level: 0})
+	s.queue.push(queueItem{page: root, dist: d, level: 0})
 	s.stats.Enqueued++
 	s.emit(TraceEvent{Kind: EventNodeEnqueue, Page: root, Level: 0, MBB: rootMBB, MinDist: d})
 
-	for s.queue.Len() > 0 {
+	for len(s.queue) > 0 {
 		// Cancellation and budget checks sit between node pops: the search
 		// never starts a node read it is not entitled to, so NodesAccessed
 		// can never exceed MaxNodeAccesses.
@@ -316,7 +355,7 @@ func (s *searcher) run() error {
 			return nil
 		}
 
-		it := heap.Pop(&s.queue).(queueItem)
+		it := s.queue.pop()
 		s.heapPops++
 		if debugassert.Enabled {
 			debugassert.Assertf(it.dist >= s.lastPop,
@@ -367,7 +406,7 @@ func (s *searcher) run() error {
 			if d < it.dist {
 				d = it.dist // enforce MINDIST monotonicity under round-off
 			}
-			heap.Push(&s.queue, queueItem{page: c.Page, dist: d, level: it.level + 1})
+			s.queue.push(queueItem{page: c.Page, dist: d, level: it.level + 1})
 			s.stats.Enqueued++
 			s.emit(TraceEvent{
 				Kind: EventNodeEnqueue, Page: c.Page, Level: it.level + 1,
@@ -393,29 +432,44 @@ func (s *searcher) budgetExhausted() string {
 	return ""
 }
 
-// processLeaf sweeps the leaf's entries (paper lines 9-30). Entries are
-// handled in temporal order; the TB-tree stores them that way already and
-// the sort is cheap for R-tree leaves.
+// processLeaf sweeps the leaf's entries (paper lines 9-30) in two passes.
+// The first folds every entry into its candidate's interval list, in
+// temporal order (the TB-tree stores entries that way already; other
+// leaves are sorted in scratch). The second refreshes each candidate the
+// leaf touched once, in the order the leaf first named them. Every bound
+// is certified whenever it is computed, so a refresh at the leaf's end is
+// sound: it decides on a fuller list, which can move when a candidate is
+// rejected but never the answer.
 func (s *searcher) processLeaf(n *index.Node, nodeDist float64) {
 	entries := n.Leaves
-	if !sort.SliceIsSorted(entries, func(i, j int) bool { return entries[i].Seg.A.T < entries[j].Seg.A.T }) {
-		sorted := make([]index.LeafEntry, len(entries))
-		copy(sorted, entries)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Seg.A.T < sorted[j].Seg.A.T })
-		entries = sorted
+	if !slices.IsSortedFunc(entries, byStartTime) {
+		s.sorted = append(s.sorted[:0], entries...)
+		slices.SortFunc(s.sorted, byStartTime)
+		entries = s.sorted
 	}
-	for _, e := range entries {
+	s.touched = s.touched[:0]
+	for i := range entries {
+		e := &entries[i]
 		if e.Seg.B.T < s.t1 || e.Seg.A.T > s.t2 {
 			continue
 		}
-		cand, rejected := s.candidateFor(e.TrajID)
+		c, rejected := s.candidateFor(e.TrajID)
 		if rejected {
 			continue
 		}
-		s.addEntry(cand, e)
-		s.updateCandidate(cand, nodeDist)
+		if !c.inLeaf {
+			c.inLeaf = true
+			s.touched = append(s.touched, c)
+		}
+		s.addEntry(c, e)
+	}
+	for _, c := range s.touched {
+		c.inLeaf = false
+		s.updateCandidate(c, nodeDist)
 	}
 }
+
+func byStartTime(a, b index.LeafEntry) int { return cmp.Compare(a.Seg.A.T, b.Seg.A.T) }
 
 // candidateFor fetches or creates the candidate list for a trajectory,
 // reporting whether it is already rejected (paper lines 12-13).
@@ -429,6 +483,7 @@ func (s *searcher) candidateFor(id trajectory.ID) (*candidate, bool) {
 			hi:      math.Inf(1),
 		}
 		s.cands[id] = c
+		s.live = append(s.live, c)
 		s.emit(TraceEvent{Kind: EventCandidateAdmit, TrajID: id, Lo: c.lo, Hi: c.hi})
 		return c, false
 	}
@@ -438,7 +493,7 @@ func (s *searcher) candidateFor(id trajectory.ID) (*candidate, bool) {
 // addEntry aligns one indexed segment with the query over their common
 // window and folds the resulting intervals into the candidate's Partial
 // (paper lines 15-18: interpolation + DISSIM/bounds bookkeeping).
-func (s *searcher) addEntry(c *candidate, e index.LeafEntry) {
+func (s *searcher) addEntry(c *candidate, e *index.LeafEntry) {
 	lo := math.Max(s.t1, e.Seg.A.T)
 	hi := math.Min(s.t2, e.Seg.B.T)
 	if lo >= hi {
@@ -515,20 +570,17 @@ func (s *searcher) threshold() float64 {
 	if !s.tauDirty {
 		return s.tau
 	}
-	his := make([]float64, 0, len(s.cands))
-	for _, c := range s.cands {
-		if c.state == stateRejected {
-			continue
-		}
-		if !math.IsInf(c.hi, 1) {
-			his = append(his, c.hi)
+	s.his = s.his[:0]
+	for _, c := range s.live {
+		if c.state != stateRejected && !math.IsInf(c.hi, 1) {
+			s.his = append(s.his, c.hi)
 		}
 	}
-	if len(his) < s.opts.K {
+	if len(s.his) < s.opts.K {
 		s.tau = math.Inf(1)
 	} else {
-		sort.Float64s(his)
-		s.tau = his[s.opts.K-1]
+		slices.Sort(s.his)
+		s.tau = s.his[s.opts.K-1]
 	}
 	s.tauDirty = false
 	return s.tau
@@ -548,7 +600,7 @@ func (s *searcher) minDissimInc(nodeDist float64) float64 {
 	if m <= s.threshold() {
 		return m
 	}
-	for _, c := range s.cands {
+	for _, c := range s.live {
 		if c.state != stateValid {
 			continue
 		}
@@ -565,20 +617,13 @@ func (s *searcher) minDissimInc(nodeDist float64) float64 {
 // finalize ranks completed candidates, optionally refines the boundary
 // cases exactly (§4.4 post-processing), and returns the k best.
 func (s *searcher) finalize() []Result {
-	var done []*candidate
-	for _, c := range s.cands {
+	done := make([]*candidate, 0, s.stats.Completed)
+	for _, c := range s.live {
 		if c.state == stateCompleted {
 			done = append(done, c)
 		}
 	}
-	sort.Slice(done, func(i, j int) bool {
-		vi := s.midpoint(done[i])
-		vj := s.midpoint(done[j])
-		if !geom.ExactEq(vi, vj) {
-			return vi < vj
-		}
-		return done[i].id < done[j].id
-	})
+	slices.SortFunc(done, byEstimate)
 	if len(done) == 0 {
 		s.stats.CertFloor = s.certificationFloor(nil)
 		return nil
@@ -604,54 +649,59 @@ func (s *searcher) finalize() []Result {
 			}
 		}
 		s.refineAll(toRefine)
-		sort.Slice(done, func(i, j int) bool {
-			vi := s.midpoint(done[i])
-			vj := s.midpoint(done[j])
-			if !geom.ExactEq(vi, vj) {
-				return vi < vj
-			}
-			return done[i].id < done[j].id
-		})
+		slices.SortFunc(done, byEstimate)
 	}
 
+	returned, dropped := done, done[:0]
 	if len(done) > k {
-		done = done[:k]
+		returned, dropped = done[:k], done[k:]
 	}
-	out := make([]Result, len(done))
-	for i, c := range done {
-		out[i] = Result{TrajID: c.id, Dissim: s.midpoint(c), Err: c.err(), Certified: true}
+	out := make([]Result, len(returned))
+	for i, c := range returned {
+		out[i] = Result{TrajID: c.id, Dissim: c.midpoint(), Err: c.err(), Certified: true}
 	}
 	// A completed search proves every returned result (the algorithm's
 	// exactness guarantee). A budget-degraded search certifies only the
 	// results no unexplored or partially-explored trajectory can displace.
-	floor := s.certificationFloor(done)
+	floor := s.certificationFloor(dropped)
 	s.stats.CertFloor = floor
 	if s.stats.Degraded {
-		for i, c := range done {
+		for i, c := range returned {
 			out[i].Certified = c.hi <= floor
 		}
 	}
 	return out
 }
 
+// byEstimate orders completed candidates by their point estimate, ties by
+// TrajID.
+func byEstimate(a, b *candidate) int {
+	if va, vb := a.midpoint(), b.midpoint(); !geom.ExactEq(va, vb) {
+		if va < vb {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
 // certificationFloor returns a lower bound on the DISSIM of every
 // trajectory NOT among the returned results: nodes still queued pop in
 // MINDIST order, so anything unexplored has DISSIM ≥ unseenDist · period
 // (speed-independent bound; +Inf when the queue drained); partially
-// assembled, completed-but-dropped, and rejected candidates are bounded by
-// their certified lo. A returned result whose upper bound lies below this
-// floor is provably in the true top-k, and a distributed merge can use the
-// floor (Stats.CertFloor) to rule out contributions from this tree.
-func (s *searcher) certificationFloor(returned []*candidate) float64 {
+// assembled and rejected candidates, and the completed ones ranked below
+// the results (dropped), are bounded by their certified lo. A returned
+// result whose upper bound lies below this floor is provably in the true
+// top-k, and a distributed merge can use the floor (Stats.CertFloor) to
+// rule out contributions from this tree.
+func (s *searcher) certificationFloor(dropped []*candidate) float64 {
 	floor := s.unseenDist * (s.t2 - s.t1)
-	ret := make(map[trajectory.ID]bool, len(returned))
-	for _, c := range returned {
-		ret[c.id] = true
-	}
-	for _, c := range s.cands {
-		if ret[c.id] || c.partial == nil { // partial == nil: ExcludeIDs placeholder
-			continue
+	for _, c := range s.live {
+		if c.state != stateCompleted && c.lo < floor {
+			floor = c.lo
 		}
+	}
+	for _, c := range dropped {
 		if c.lo < floor {
 			floor = c.lo
 		}
@@ -661,7 +711,7 @@ func (s *searcher) certificationFloor(returned []*candidate) float64 {
 
 // midpoint is the candidate's point estimate: center of its certified
 // interval (equal to the exact value after refinement).
-func (s *searcher) midpoint(c *candidate) float64 { return (c.lo + c.hi) / 2 }
+func (c *candidate) midpoint() float64 { return (c.lo + c.hi) / 2 }
 
 func (c *candidate) err() float64 { return (c.hi - c.lo) / 2 }
 
