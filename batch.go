@@ -54,10 +54,10 @@ type BatchResult struct {
 func (db *DB) KMostSimilarBatch(ctx context.Context, queries []BatchQuery, opts Options) []BatchResult {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	bp := db.queryPager()
-	if db.warm == nil {
-		// queryPager built a plain per-query pool; a batch wants one warm
-		// shared pool across its workers instead.
+	bp := db.warm
+	if bp == nil {
+		// A batch wants one warm pool shared across its workers, not the
+		// single-stripe per-query pool queryPager would build.
 		bp = storage.NewSharedPaperPool(db.wrappedFile())
 	}
 	return RunBatch(ctx, queries, opts, func(ctx context.Context, req Request) (Response, error) {

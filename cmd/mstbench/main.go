@@ -470,7 +470,7 @@ func runIndexCompareExperiment(card, samples, nq int, seed int64, jsonPath strin
 	rep.Results = append(rep.Results, benchResult{
 		Name: "IndexCompare/exactDTW/kind=linear_scan", Package: "mstsearch",
 		Iterations: int64(nq), NsPerOp: float64(linElapsed.Nanoseconds()) / float64(nq),
-		Extra:      map[string]float64{"evals/q": float64(card), "queries/s": float64(nq) / linElapsed.Seconds()},
+		Extra: map[string]float64{"evals/q": float64(card), "queries/s": float64(nq) / linElapsed.Seconds()},
 	})
 	for _, kind := range mstsearch.IndexKinds() {
 		db := dbs[kind]

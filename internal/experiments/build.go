@@ -101,8 +101,8 @@ func (b *BuiltIndex) SizeMB() float64 {
 // View reopens the index for querying behind the paper's buffer policy
 // (10 % of the index, ≤1000 pages) and returns the buffer pool for I/O
 // accounting.
-func (b *BuiltIndex) View() (index.Tree, *storage.BufferPool) {
-	bp := storage.NewPaperBuffer(b.File)
+func (b *BuiltIndex) View() (index.Tree, *storage.StripedPool) {
+	bp := storage.NewStripedPool(b.File, storage.PaperCapacity(b.File.NumPages()), 1)
 	return b.open(bp, b.Meta), bp
 }
 

@@ -196,7 +196,7 @@ func TestSearchIOBudgetDegrades(t *testing.T) {
 	rt := buildRTreeOn(t, f, data)
 	q := queryFrom(rng, &data.Trajs[7], 10, 70)
 
-	bp := storage.NewBufferPool(f, 4)
+	bp := storage.NewStripedPool(f, 4, 1)
 	view := reopenRTree(bp, rt)
 	_, full, err := Search(view, &q, 10, 70, Options{K: 3, Vmax: 120, Data: data})
 	if err != nil {
@@ -207,7 +207,7 @@ func TestSearchIOBudgetDegrades(t *testing.T) {
 		t.Skip("search too small")
 	}
 
-	bp2 := storage.NewBufferPool(f, 4)
+	bp2 := storage.NewStripedPool(f, 4, 1)
 	view2 := reopenRTree(bp2, rt)
 	budget := fullReads / 2
 	_, st, err := Search(view2, &q, 10, 70, Options{

@@ -249,7 +249,7 @@ func TestOpenWithBufferPool(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bp := storage.NewBufferPool(f, 8)
+	bp := storage.NewStripedPool(f, 8, 1)
 	view := Open(bp, tr.Meta())
 	if view.Height() != tr.Height() || view.NumNodes() != tr.NumNodes() {
 		t.Fatal("reopened metadata mismatch")

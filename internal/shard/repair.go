@@ -81,11 +81,11 @@ func (c *Cluster) repairReplica(i, r int) (src int, err error) {
 		return -1, nil
 	}
 
-	old := rs.db(r)
+	var fresh *mstsearch.DB
 	if c.root == "" {
 		// In-memory re-seed: clone the sibling's trajectories into a
 		// fresh index of the same kind, in the sibling's storage order.
-		fresh := mstsearch.Open(c.kind)
+		fresh = mstsearch.Open(c.kind)
 		for _, id := range srcDB.IDs() {
 			tr := srcDB.Get(id)
 			if tr == nil {
@@ -95,30 +95,31 @@ func (c *Cluster) repairReplica(i, r int) (src int, err error) {
 				return src, err
 			}
 		}
-		rs.admit(r, fresh)
-		return src, nil
+	} else {
+		// Durable re-seed: wipe the replica's directory and let the
+		// sibling seed it with an atomic snapshot + fresh WAL. Close the
+		// old handle first; its error is irrelevant (the directory is
+		// about to go).
+		if old := rs.db(r); old != nil {
+			_ = old.Close()
+		}
+		dir := c.replicaPath(i, r)
+		if err := os.RemoveAll(dir); err != nil {
+			return src, err
+		}
+		if fresh, err = srcDB.CloneDurable(dir, c.replicaDurable(i, r)); err != nil {
+			// The replica stays quarantined with a dead handle; a later
+			// sweep (or the next Open) retries from whatever the failed
+			// clone left behind.
+			rs.mu.Lock()
+			rs.reps[r].db = nil
+			rs.reps[r].lastErr = err
+			rs.mu.Unlock()
+			return src, err
+		}
 	}
-
-	// Durable re-seed: wipe the replica's directory and let the sibling
-	// seed it with an atomic snapshot + fresh WAL. Close the old handle
-	// first; its error is irrelevant (the directory is about to go).
-	if old != nil {
-		_ = old.Close()
-	}
-	dir := c.replicaPath(i, r)
-	if err := os.RemoveAll(dir); err != nil {
-		return src, err
-	}
-	fresh, err := srcDB.CloneDurable(dir, c.replicaDurable(i, r))
-	if err != nil {
-		// The replica stays quarantined with a dead handle; a later
-		// sweep (or the next Open) retries from whatever the failed
-		// clone left behind.
-		rs.mu.Lock()
-		rs.reps[r].db = nil
-		rs.reps[r].lastErr = err
-		rs.mu.Unlock()
-		return src, err
+	if c.warm {
+		fresh.EnableWarmBuffer()
 	}
 	rs.admit(r, fresh)
 	return src, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	mstsearch "mstsearch"
@@ -237,7 +238,7 @@ func TestInMemoryRepairReseed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for id := mstsearch.ID(1); id <= 12; id++ {
+	for id := mstsearch.ID(1); id <= 300; id++ {
 		tr := mstsearch.Trajectory{ID: id, Samples: []mstsearch.Sample{
 			{X: float64(id), Y: 1, T: 0}, {X: float64(id) + 1, Y: 2, T: 1},
 		}}
@@ -272,4 +273,69 @@ func TestInMemoryRepairReseed(t *testing.T) {
 	if repaired, err := c.RepairNow(context.Background()); err != nil || repaired != 0 {
 		t.Fatalf("idle RepairNow = %d, %v; want 0, nil", repaired, err)
 	}
+}
+
+// TestReplicaRepairKeepsWarmBufferInMemory: a replica the in-memory
+// repair path re-seeds reads through a warm pool when the cluster's
+// replicas do.
+func TestReplicaRepairKeepsWarmBufferInMemory(t *testing.T) {
+	c, err := New(mstsearch.RTree3D, 1, HashPlacement{}, Options{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	checkRepairKeepsWarmBuffer(t, c)
+}
+
+// TestReplicaRepairKeepsWarmBufferDurable is the same property on the
+// durable repair path, which re-seeds through CloneDurable.
+func TestReplicaRepairKeepsWarmBufferDurable(t *testing.T) {
+	c, err := Open(t.TempDir(), mstsearch.RTree3D, 1, HashPlacement{}, Options{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	checkRepairKeepsWarmBuffer(t, c)
+}
+
+// checkRepairKeepsWarmBuffer loads a one-shard, two-replica cluster,
+// warms it, and runs one query twice on replica 0, before and after that
+// replica is quarantined and repaired. A warm pool serves part of the
+// repeat from the frames the first run cached; the cold per-query pool
+// reads exactly the same pages again.
+func checkRepairKeepsWarmBuffer(t *testing.T, c *Cluster) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(35))
+	for id := mstsearch.ID(1); id <= 120; id++ {
+		x, y := rng.Float64()*100, rng.Float64()*100
+		samples := make([]mstsearch.Sample, 40)
+		for s := range samples {
+			x, y = x+rng.Float64()*2-1, y+rng.Float64()*2-1
+			samples[s] = mstsearch.Sample{X: x, Y: y, T: float64(s)}
+		}
+		if err := c.Add(mstsearch.Trajectory{ID: id, Samples: samples}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.EnableWarmBuffer()
+	q := c.Replica(0, 1).Get(7)
+	check := func(when string) {
+		var reads [2]uint64
+		for i := range reads {
+			_, st, err := c.Replica(0, 0).KMostSimilar(q, 10, 20, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reads[i] = st.PageReads
+		}
+		if reads[1] >= reads[0] {
+			t.Fatalf("%s: a repeated query read %d pages after %d; want fewer (warm pool)", when, reads[1], reads[0])
+		}
+	}
+	check("before repair")
+	c.sets[0].markStale(0, fmt.Errorf("test quarantine"))
+	if repaired, err := c.RepairNow(context.Background()); err != nil || repaired != 1 {
+		t.Fatalf("RepairNow = %d, %v; want 1 repair", repaired, err)
+	}
+	check("after repair")
 }

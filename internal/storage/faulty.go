@@ -11,7 +11,7 @@ var ErrInjected = fmt.Errorf("storage: injected fault")
 
 // ErrTransient marks an injected fault as transient: retrying the same
 // operation may succeed. It wraps ErrInjected, so errors.Is against either
-// sentinel works. The BufferPool's bounded-retry logic only retries
+// sentinel works. The buffer pool's bounded-retry logic only retries
 // transient faults (and checksum mismatches, which may be in-transit bit
 // flips).
 var ErrTransient = fmt.Errorf("%w (transient)", ErrInjected)
@@ -84,7 +84,7 @@ func (f *FaultyPager) NumPages() int { return f.Inner.NumPages() }
 func (f *FaultyPager) Alloc() (PageID, error) { return f.Inner.Alloc() }
 
 // PageChecksum forwards the inner pager's authoritative checksum (if any),
-// letting a BufferPool above detect this pager's bit flips.
+// letting a buffer pool above detect this pager's bit flips.
 func (f *FaultyPager) PageChecksum(id PageID) (uint32, bool) {
 	if ck, ok := f.Inner.(Checksummer); ok {
 		return ck.PageChecksum(id)

@@ -182,12 +182,12 @@ func TestFaultyPagerBitFlip(t *testing.T) {
 	}
 }
 
-// A BufferPool above a transient FaultyPager heals faults via bounded
+// A buffer pool above a transient FaultyPager heals faults via bounded
 // retry; the retry count is reported in Stats.
 func TestBufferPoolRetriesTransientFaults(t *testing.T) {
 	f := fillFile(t, 8, 128)
 	fp := &FaultyPager{Inner: f, Seed: 11, ReadFaultRate: 0.3, Transient: true}
-	bp := NewBufferPool(fp, 2)
+	bp := NewStripedPool(fp, 2, 1)
 
 	healed := 0
 	for i := 0; i < 200; i++ {
@@ -215,12 +215,12 @@ func TestBufferPoolRetriesTransientFaults(t *testing.T) {
 	}
 }
 
-// A BufferPool above a bit-flipping pager detects every flip via the
+// A buffer pool above a bit-flipping pager detects every flip via the
 // authoritative checksum and re-reads until it gets a clean copy.
 func TestBufferPoolHealsBitFlips(t *testing.T) {
 	f := fillFile(t, 8, 128)
 	fp := &FaultyPager{Inner: f, Seed: 13, BitFlipRate: 0.3}
-	bp := NewBufferPool(fp, 2)
+	bp := NewStripedPool(fp, 2, 1)
 
 	for i := 0; i < 200; i++ {
 		id := PageID(i % 8)
@@ -265,7 +265,7 @@ func TestFileCorruptPageDetected(t *testing.T) {
 
 	// In-place corruption is permanent: the buffer pool's retries cannot
 	// heal it and must give up with the typed error.
-	bp := NewBufferPool(f, 2)
+	bp := NewStripedPool(f, 2, 1)
 	if _, err := bp.Read(1); !errors.Is(err, ErrPageCorrupt{}) {
 		t.Fatalf("buffer pool: got %v, want ErrPageCorrupt", err)
 	}

@@ -2,24 +2,15 @@ package storage
 
 import "mstsearch/internal/obs"
 
-// Process-wide pool metrics, one set per pool kind: "buffer" is the
-// per-query BufferPool, "striped" the shared StripedPool. Handles resolve
-// once at init and each pool operation costs at most one extra atomic add
-// per counter touched — the hot paths stay allocation-free.
-type poolMetrics struct {
+// Process-wide buffer-pool metrics, summed over every pool in the process
+// (the per-query and the shared warm pools alike). Handles resolve once at
+// init and each pool operation costs at most one extra atomic add per
+// counter touched — the hot paths stay allocation-free.
+var metPool = struct {
 	hits, misses, retries, evictions *obs.Counter
+}{
+	hits:      obs.Default.Counter("storage.pool.hits"),
+	misses:    obs.Default.Counter("storage.pool.misses"),
+	retries:   obs.Default.Counter("storage.pool.retries"),
+	evictions: obs.Default.Counter("storage.pool.evictions"),
 }
-
-func newPoolMetrics(kind string) poolMetrics {
-	return poolMetrics{
-		hits:      obs.Default.Counter("storage.pool." + kind + ".hits"),
-		misses:    obs.Default.Counter("storage.pool." + kind + ".misses"),
-		retries:   obs.Default.Counter("storage.pool." + kind + ".retries"),
-		evictions: obs.Default.Counter("storage.pool." + kind + ".evictions"),
-	}
-}
-
-var (
-	metBuffer  = newPoolMetrics("buffer")
-	metStriped = newPoolMetrics("striped")
-)

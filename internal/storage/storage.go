@@ -1,11 +1,11 @@
 // Package storage provides the paged storage substrate underneath the
 // R-tree-like indexes: a page file addressed by page id, and an LRU buffer
-// pool with write-back caching, I/O accounting, bounded retry for
-// transient faults, and checksum verification of page payloads.
+// pool (StripedPool) with write-back caching, I/O accounting, bounded
+// retry for transient faults, and checksum verification of page payloads.
 //
 // The paper's experimental setup (§5) uses a 4 KB page size and a buffer
-// sized at 10 % of the index with a 1000-page cap; NewPaperBuffer encodes
-// that policy. The page file here is memory-backed — the experiments care
+// sized at 10 % of the index with a 1000-page cap; PaperCapacity encodes
+// that policy, and a one-stripe StripedPool is the paper's single LRU. The page file here is memory-backed — the experiments care
 // about page access counts and buffer behaviour, not physical disks — but
 // the interface is what a disk-backed implementation would expose.
 //
@@ -14,7 +14,7 @@
 // Every pager that owns page payloads (File, DiskFile) maintains a CRC32
 // per page, updated on Write and verified on Read. A failed verification
 // surfaces as ErrPageCorrupt carrying the damaged page's id — never as a
-// silently wrong payload. The BufferPool additionally re-verifies data it
+// silently wrong payload. The buffer pool additionally re-verifies data it
 // pulls through intermediate wrappers (see Checksummer), so corruption
 // injected *between* the pool and the backing file — a bit flip in transit
 // — is also caught.
@@ -64,7 +64,7 @@ func (e ErrPageCorrupt) Is(target error) bool {
 }
 
 // Checksummer is implemented by pagers that maintain an authoritative
-// per-page checksum. The BufferPool uses it to verify data read through
+// per-page checksum. The buffer pool uses it to verify data read through
 // intermediate wrappers (fault injectors, instrumentation) against the
 // owner's checksum, catching in-transit corruption.
 type Checksummer interface {
@@ -90,7 +90,7 @@ type Pager interface {
 }
 
 // Stats counts page-level I/O. For a File they are physical accesses; a
-// BufferPool layers hit/miss accounting on top and forwards misses.
+// StripedPool layers hit/miss accounting on top and forwards misses.
 type Stats struct {
 	Reads     uint64 // physical page reads
 	Writes    uint64 // physical page writes

@@ -81,6 +81,10 @@ func TestFileStats(t *testing.T) {
 	}
 }
 
+// The buffer-pool tests below run on a one-stripe pool: a single LRU over
+// the whole capacity, the paper's buffer and the per-query pool DB.Query
+// builds when no warm pool is enabled.
+
 func TestBufferPoolHitMiss(t *testing.T) {
 	f := NewFile(32)
 	var ids []PageID
@@ -90,7 +94,7 @@ func TestBufferPoolHitMiss(t *testing.T) {
 		ids = append(ids, id)
 	}
 	f.ResetStats()
-	bp := NewBufferPool(f, 2)
+	bp := NewStripedPool(f, 2, 1)
 	// First read: miss + physical read.
 	if _, err := bp.Read(ids[0]); err != nil {
 		t.Fatal(err)
@@ -113,6 +117,8 @@ func TestBufferPoolHitMiss(t *testing.T) {
 	}
 }
 
+// TestBufferPoolLRUOrder pins the paper's replacement policy: with one
+// stripe the pool evicts the least recently used page of the whole pool.
 func TestBufferPoolLRUOrder(t *testing.T) {
 	f := NewFile(32)
 	var ids []PageID
@@ -121,7 +127,7 @@ func TestBufferPoolLRUOrder(t *testing.T) {
 		_ = f.Write(id, fill(32, byte(i)))
 		ids = append(ids, id)
 	}
-	bp := NewBufferPool(f, 2)
+	bp := NewStripedPool(f, 2, 1)
 	_, _ = bp.Read(ids[0])
 	_, _ = bp.Read(ids[1])
 	_, _ = bp.Read(ids[0]) // promote ids[0]
@@ -140,7 +146,7 @@ func TestBufferPoolLRUOrder(t *testing.T) {
 func TestBufferPoolWriteBack(t *testing.T) {
 	f := NewFile(32)
 	id, _ := f.Alloc()
-	bp := NewBufferPool(f, 1)
+	bp := NewStripedPool(f, 1, 1)
 	if err := bp.Write(id, fill(32, 0x7)); err != nil {
 		t.Fatal(err)
 	}
@@ -164,22 +170,9 @@ func TestBufferPoolWriteBack(t *testing.T) {
 	}
 }
 
-func TestBufferPoolEvictionWritesBackDirty(t *testing.T) {
-	f := NewFile(32)
-	a, _ := f.Alloc()
-	bb, _ := f.Alloc()
-	bp := NewBufferPool(f, 1)
-	_ = bp.Write(a, fill(32, 0x1))
-	_, _ = bp.Read(bb) // evicts dirty a
-	raw, _ := f.Read(a)
-	if !bytes.Equal(raw, fill(32, 0x1)) {
-		t.Fatal("eviction must write back dirty page")
-	}
-}
-
 func TestBufferPoolAllocCached(t *testing.T) {
 	f := NewFile(32)
-	bp := NewBufferPool(f, 4)
+	bp := NewStripedPool(f, 4, 1)
 	id, err := bp.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +190,7 @@ func TestBufferPoolAllocCached(t *testing.T) {
 
 func TestBufferPoolErrors(t *testing.T) {
 	f := NewFile(32)
-	bp := NewBufferPool(f, 2)
+	bp := NewStripedPool(f, 2, 1)
 	if _, err := bp.Read(9); err == nil {
 		t.Fatal("read of unallocated page must fail")
 	}
@@ -210,24 +203,16 @@ func TestBufferPoolErrors(t *testing.T) {
 	}
 }
 
-func TestNewPaperBuffer(t *testing.T) {
-	f := NewFile(DefaultPageSize)
-	for i := 0; i < 50; i++ {
-		_, _ = f.Alloc()
-	}
-	if c := NewPaperBuffer(f).Capacity(); c != 5 {
-		t.Fatalf("10%% of 50 pages = %d, want 5", c)
-	}
-	f2 := NewFile(DefaultPageSize)
-	for i := 0; i < 20000; i++ {
-		_, _ = f2.Alloc()
-	}
-	if c := NewPaperBuffer(f2).Capacity(); c != 1000 {
-		t.Fatalf("cap at 1000 pages, got %d", c)
-	}
-	f3 := NewFile(DefaultPageSize)
-	if c := NewPaperBuffer(f3).Capacity(); c != 1 {
-		t.Fatalf("minimum capacity 1, got %d", c)
+func TestPaperCapacity(t *testing.T) {
+	for _, c := range []struct{ pages, want int }{
+		{50, 5},       // 10 % of the index
+		{20000, 1000}, // capped at 1000 pages
+		{0, 1},        // at least one page
+		{9, 1},
+	} {
+		if got := PaperCapacity(c.pages); got != c.want {
+			t.Errorf("PaperCapacity(%d) = %d, want %d", c.pages, got, c.want)
+		}
 	}
 }
 
@@ -236,7 +221,7 @@ func TestNewPaperBuffer(t *testing.T) {
 func TestBufferPoolConsistencyStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	f := NewFile(16)
-	bp := NewBufferPool(f, 3)
+	bp := NewStripedPool(f, 3, 1)
 	shadow := map[PageID][]byte{}
 	var ids []PageID
 	for i := 0; i < 2000; i++ {
@@ -277,50 +262,61 @@ func TestBufferPoolConsistencyStress(t *testing.T) {
 	}
 }
 
+// TestSharedPoolBasics runs the pool contract at both stripe counts the
+// DB builds: one for the per-query pool, the default for the shared warm
+// pool.
 func TestSharedPoolBasics(t *testing.T) {
-	f := NewFile(32)
-	var ids []PageID
-	for i := 0; i < 6; i++ {
-		id, _ := f.Alloc()
-		_ = f.Write(id, fill(32, byte(i)))
-		ids = append(ids, id)
-	}
-	f.ResetStats()
-	sp := NewSharedPool(f, 3)
-	if sp.PageSize() != 32 || sp.NumPages() != 6 || sp.Capacity() != 3 {
-		t.Fatalf("shared pool shape: %d %d %d", sp.PageSize(), sp.NumPages(), sp.Capacity())
-	}
-	got, err := sp.Read(ids[2])
-	if err != nil || !bytes.Equal(got, fill(32, 2)) {
-		t.Fatalf("read: %v", err)
-	}
-	// The returned slice is a private copy: mutating it must not poison
-	// the cache.
-	got[0] = 0xFF
-	again, _ := sp.Read(ids[2])
-	if again[0] == 0xFF {
-		t.Fatal("shared pool returned aliased frame")
-	}
-	if s := sp.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("stats: %+v", s)
-	}
-	// Write-through + flush.
-	if err := sp.Write(ids[0], fill(32, 0xAB)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := f.Read(ids[0])
-	if !bytes.Equal(raw, fill(32, 0xAB)) {
-		t.Fatal("flush must persist")
-	}
-	sp.ResetStats()
-	if s := sp.Stats(); s.Hits != 0 || s.Misses != 0 {
-		t.Fatalf("reset failed: %+v", s)
-	}
-	if id, err := sp.Alloc(); err != nil || int(id) != 6 {
-		t.Fatalf("alloc through pool: %d %v", id, err)
+	for _, stripes := range []int{1, 0} {
+		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
+			f := NewFile(32)
+			var ids []PageID
+			for i := 0; i < 6; i++ {
+				id, _ := f.Alloc()
+				_ = f.Write(id, fill(32, byte(i)))
+				ids = append(ids, id)
+			}
+			f.ResetStats()
+			sp := NewStripedPool(f, 3, stripes)
+			if sp.PageSize() != 32 || sp.NumPages() != 6 || sp.Capacity() != 3 {
+				t.Fatalf("pool shape: %d %d %d", sp.PageSize(), sp.NumPages(), sp.Capacity())
+			}
+			got, err := sp.Read(ids[2])
+			if err != nil || !bytes.Equal(got, fill(32, 2)) {
+				t.Fatalf("read: %v", err)
+			}
+			// The returned slice is a private copy: mutating it must not
+			// poison the cache, on a miss or on a hit.
+			got[0] = 0xFF
+			again, _ := sp.Read(ids[2])
+			if again[0] == 0xFF {
+				t.Fatal("pool returned an aliased frame on a miss")
+			}
+			again[1] = 0xFF
+			if third, _ := sp.Read(ids[2]); !bytes.Equal(third, fill(32, 2)) {
+				t.Fatal("pool returned an aliased frame on a hit")
+			}
+			if s := sp.Stats(); s.Hits != 2 || s.Misses != 1 {
+				t.Fatalf("stats: %+v", s)
+			}
+			// Write-back + flush.
+			if err := sp.Write(ids[0], fill(32, 0xAB)); err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := f.Read(ids[0])
+			if !bytes.Equal(raw, fill(32, 0xAB)) {
+				t.Fatal("flush must persist")
+			}
+			sp.ResetStats()
+			if s := sp.Stats(); s.Hits != 0 || s.Misses != 0 {
+				t.Fatalf("reset failed: %+v", s)
+			}
+			if id, err := sp.Alloc(); err != nil || int(id) != 6 {
+				t.Fatalf("alloc through pool: %d %v", id, err)
+			}
+		})
 	}
 }
 
@@ -333,7 +329,7 @@ func TestSharedPoolConcurrentReaders(t *testing.T) {
 		_ = f.Write(id, fill(64, byte(i)))
 		ids = append(ids, id)
 	}
-	sp := NewSharedPool(f, 8)
+	sp := NewStripedPool(f, 8, 0)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {

@@ -2,9 +2,11 @@ package storage
 
 import (
 	"container/list"
+	"errors"
 	"hash/crc32"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mstsearch/internal/debugassert"
 )
@@ -15,16 +17,22 @@ import (
 // capacity below one page per shard.
 const DefaultStripes = 16
 
-// StripedPool is a latch-striped shared buffer pool: one warm page cache
-// safely usable by every concurrent query, partitioned into independent
-// lock shards keyed by PageID. Each shard owns a private LRU segment and
-// its slice of the total capacity (the per-shard capacities sum to the
-// requested capacity, e.g. the paper's 10 % rule), so concurrent readers
-// of pages in distinct shards never touch the same latch — the read-mostly
-// fast path a serving workload needs. Because a page id maps to exactly
-// one shard, all inner-pager I/O for a given page is serialized by that
-// shard's latch; different shards only ever access distinct pages
-// concurrently, which File and DiskFile support.
+// StripedPool is the buffer pool: an LRU write-back page cache over any
+// Pager, partitioned into independent lock shards keyed by PageID. Each
+// shard owns a private LRU segment and its slice of the total capacity
+// (the per-shard capacities sum to the requested capacity), so concurrent
+// readers of pages in distinct shards never touch the same latch — the
+// read-mostly fast path a shared warm pool needs. With one stripe it is a
+// single LRU over the whole capacity, the paper's buffer (§5). Because a
+// page id maps to exactly one shard, all inner-pager I/O for a given page
+// is serialized by that shard's latch; different shards only ever access
+// distinct pages concurrently, which File and DiskFile support.
+//
+// The pool is the hardening point of the read path: a miss that comes
+// back with a transient fault (ErrTransient) or a checksum mismatch —
+// possibly a bit flip between the pool and the page's owner — is retried
+// a bounded number of times with a short backoff before the error is
+// surfaced. Permanent faults and out-of-range reads are never retried.
 //
 // I/O counters are atomics, so Stats and ResetStats are exact and never
 // race with in-flight readers. Reads copy the frame out under the shard
@@ -50,6 +58,13 @@ type StripedPool struct {
 	// fields above (which are either immutable after construction, atomic,
 	// or latched per shard).
 	structMu sync.RWMutex // lockrank: 30 — above every shard lock
+}
+
+// frame is one cached page.
+type frame struct {
+	id    PageID
+	data  []byte
+	dirty bool
 }
 
 // poolShard is one lock stripe: a mutex plus the LRU segment of the pages
@@ -99,6 +114,19 @@ func NewStripedPool(inner Pager, capacity, stripes int) *StripedPool {
 	return p
 }
 
+// PaperCapacity is the paper's buffer policy (§5): 10 % of the index's
+// page count, capped at 1000 pages and at least one page.
+func PaperCapacity(numPages int) int {
+	return max(1, min(numPages/10, 1000))
+}
+
+// NewSharedPaperPool applies the paper's buffer policy to an existing
+// pager across the default shard layout: the warm pool shared by
+// concurrent queries.
+func NewSharedPaperPool(inner Pager) *StripedPool {
+	return NewStripedPool(inner, PaperCapacity(inner.NumPages()), 0)
+}
+
 // shardFor returns the lock stripe owning the page.
 func (p *StripedPool) shardFor(id PageID) *poolShard {
 	return &p.shards[uint32(id)&p.mask]
@@ -146,16 +174,13 @@ func (p *StripedPool) Read(id PageID) ([]byte, error) {
 	defer sh.mu.Unlock()
 	if el, ok := sh.frames[id]; ok {
 		p.hits.Add(1)
-		metStriped.hits.Inc()
+		metPool.hits.Inc()
 		sh.lru.MoveToFront(el)
 		return cloneBytes(el.Value.(*frame).data), nil
 	}
 	p.misses.Add(1)
-	metStriped.misses.Inc()
-	src, err := readVerified(p.inner, id, func() {
-		p.retries.Add(1)
-		metStriped.retries.Inc()
-	})
+	metPool.misses.Inc()
+	src, err := p.readVerified(id)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +192,7 @@ func (p *StripedPool) Read(id PageID) ([]byte, error) {
 }
 
 // Write implements Pager: the page is updated in the owning shard's cache
-// and flushed lazily (write-back), exactly like BufferPool.
+// and flushed lazily (write-back).
 func (p *StripedPool) Write(id PageID, data []byte) error {
 	p.structMu.RLock()
 	defer p.structMu.RUnlock()
@@ -182,7 +207,7 @@ func (p *StripedPool) Write(id PageID, data []byte) error {
 	defer sh.mu.Unlock()
 	if el, ok := sh.frames[id]; ok {
 		p.hits.Add(1)
-		metStriped.hits.Inc()
+		metPool.hits.Inc()
 		fr := el.Value.(*frame)
 		copy(fr.data, data)
 		fr.dirty = true
@@ -190,7 +215,7 @@ func (p *StripedPool) Write(id PageID, data []byte) error {
 		return nil
 	}
 	p.misses.Add(1)
-	metStriped.misses.Inc()
+	metPool.misses.Inc()
 	return sh.insert(p, id, cloneBytes(data), true)
 }
 
@@ -229,6 +254,53 @@ func (p *StripedPool) Flush() error {
 	}
 	return nil
 }
+
+// maxReadRetries bounds how many times a miss is re-read after a
+// retryable fault; retryBackoff is the base delay, doubled per attempt
+// (50µs, 100µs, 200µs — long enough to step over a transient glitch,
+// short enough to keep fault-injection tests fast).
+const (
+	maxReadRetries = 3
+	retryBackoff   = 50 * time.Microsecond
+)
+
+// retryable reports whether a read error may resolve on re-read: injected
+// transient faults, and checksum mismatches (an in-transit bit flip reads
+// clean the second time; truly rotten pages keep failing and the error
+// stands after the retry budget).
+func retryable(err error) bool {
+	return errors.Is(err, ErrTransient) || errors.Is(err, ErrPageCorrupt{})
+}
+
+// readVerified pulls a page from the inner pager with verification and
+// bounded retry — the pool's miss path. When the inner chain exposes an
+// authoritative checksum (Checksummer), the payload is verified against
+// it, catching corruption introduced between the pool and the page's
+// owner. Callers must hold the page's shard latch.
+func (p *StripedPool) readVerified(id PageID) ([]byte, error) {
+	for attempt := 0; ; attempt++ {
+		src, err := p.inner.Read(id)
+		if err == nil {
+			if ck, ok := p.inner.(Checksummer); ok {
+				if want, known := ck.PageChecksum(id); known && crc32.ChecksumIEEE(src) != want {
+					err = ErrPageCorrupt{Page: id}
+				}
+			}
+			if err == nil {
+				return src, nil
+			}
+		}
+		if attempt >= maxReadRetries || !retryable(err) {
+			return nil, err
+		}
+		p.retries.Add(1)
+		metPool.retries.Inc()
+		time.Sleep(retryBackoff << attempt)
+	}
+}
+
+// statsProvider is any pager exposing I/O counters.
+type statsProvider interface{ Stats() Stats }
 
 // Stats snapshots the pool's counters — atomics, so the snapshot is exact
 // and never races with in-flight readers — combined with the inner pager's
@@ -283,9 +355,12 @@ func (sh *poolShard) evictIfFull(p *StripedPool) error {
 				return err
 			}
 		} else if debugassert.Enabled {
-			// Sanitizer check (same contract as BufferPool): a clean frame
-			// leaving the pool must still match the inner pager's
-			// authoritative checksum.
+			// Sanitizer check: a clean frame leaving the pool must still
+			// match the inner pager's authoritative checksum — anything
+			// else is in-memory corruption of the cached copy or a lost
+			// dirty bit, both of which would vanish silently with the
+			// eviction. Pagers without an authoritative CRC (e.g. fault
+			// injectors) are skipped.
 			if ck, ok := inner.(Checksummer); ok {
 				if want, known := ck.PageChecksum(fr.id); known {
 					got := crc32.ChecksumIEEE(fr.data)
@@ -298,7 +373,7 @@ func (sh *poolShard) evictIfFull(p *StripedPool) error {
 		sh.lru.Remove(el)
 		delete(sh.frames, fr.id)
 		p.evictions.Add(1)
-		metStriped.evictions.Inc()
+		metPool.evictions.Inc()
 	}
 	return nil
 }

@@ -235,7 +235,7 @@ func TestStripedPoolStatsAtomic(t *testing.T) {
 	pollerDone := make(chan struct{})
 
 	// Concurrent Stats poller — must be race-free against the in-flight
-	// readers (this is the PR's SharedPool.Stats fix). A fixed iteration
+	// readers. A fixed iteration
 	// count terminates it regardless of scheduling, so no stop-channel
 	// coordination can deadlock or starve on a single CPU.
 	go func() {

@@ -165,7 +165,7 @@ func TestOpenReadOnly(t *testing.T) {
 	if err := tr.InsertTrajectory(&traj); err != nil {
 		t.Fatal(err)
 	}
-	view := Open(storage.NewBufferPool(f, 4), tr.Meta())
+	view := Open(storage.NewStripedPool(f, 4, 1), tr.Meta())
 	if _, err := view.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

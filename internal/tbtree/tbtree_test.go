@@ -216,7 +216,7 @@ func TestOpenReadOnly(t *testing.T) {
 	if err := tr.InsertTrajectory(&traj); err != nil {
 		t.Fatal(err)
 	}
-	bp := storage.NewBufferPool(f, 4)
+	bp := storage.NewStripedPool(f, 4, 1)
 	view := Open(bp, tr.Meta())
 	if _, err := view.CheckInvariants(); err != nil {
 		t.Fatal(err)

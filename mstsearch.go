@@ -223,7 +223,7 @@ type DB struct {
 	byID  map[ID]int
 	vmax  float64
 
-	warm *storage.SharedPool // optional warm buffer shared across queries
+	warm *storage.StripedPool // optional warm buffer shared across queries
 
 	// Durable mode (OpenDurable): the write-ahead log mutations journal
 	// into, the directory holding it and the checkpoint snapshots, and
@@ -393,7 +393,7 @@ func (db *DB) invalidate() {
 // newWarmPool builds the shared striped pool over the (possibly
 // fault-wrapped) page file, with the paper's capacity policy. Callers
 // must hold db.mu (write side).
-func (db *DB) newWarmPool() *storage.SharedPool {
+func (db *DB) newWarmPool() *storage.StripedPool {
 	return storage.NewSharedPaperPool(db.wrappedFile())
 }
 
@@ -585,7 +585,7 @@ func (db *DB) IndexSizeMB() float64 {
 }
 
 // EnableWarmBuffer switches the database from per-query buffer pools to a
-// single latch-protected pool shared by all queries (the paper's policy:
+// single striped pool shared by all queries (the paper's policy:
 // 10 % of the index, ≤1000 pages). A warm shared cache matches how a
 // database actually serves a workload — repeat queries stop paying
 // physical reads — and is safe under concurrent queries. Call it after
@@ -608,13 +608,15 @@ func (db *DB) view() (index.Index, statsPager) {
 }
 
 // queryPager picks the pager a query reads through: the shared warm pool
-// when enabled, otherwise a fresh per-query buffer pool over the (possibly
-// fault-wrapped) page file. Callers must hold db.mu.
+// when enabled, otherwise a fresh one-stripe pool — the paper's single
+// LRU — over the (possibly fault-wrapped) page file. Callers must hold
+// db.mu.
 func (db *DB) queryPager() statsPager {
 	if db.warm != nil {
 		return db.warm
 	}
-	return storage.NewPaperBuffer(db.wrappedFile())
+	pager := db.wrappedFile()
+	return storage.NewStripedPool(pager, storage.PaperCapacity(pager.NumPages()), 1)
 }
 
 // wrappedFile returns the page file behind the fault-injection /

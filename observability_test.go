@@ -190,7 +190,7 @@ func TestMetricsSnapshot(t *testing.T) {
 		"mst.heap_pushes",
 		"db.query.kmst.total",
 		"db.query.range.total",
-		"storage.pool.buffer.misses",
+		"storage.pool.misses",
 	} {
 		if after.Counters[name] <= before.Counters[name] {
 			t.Errorf("counter %q did not advance: %d -> %d", name, before.Counters[name], after.Counters[name])
