@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"mstsearch/internal/storage"
 )
 
 // BatchQuery is one query of a KMostSimilarBatch call: the k most similar
@@ -42,11 +40,10 @@ type BatchResult struct {
 
 // KMostSimilarBatch answers many k-MST queries as one unit of work under
 // RunBatch's slot contract — the serving-path executor for query-heavy
-// workloads. Every query reads through one shared warm buffer (the warm
-// pool when EnableWarmBuffer is on, otherwise a batch-local striped pool
-// with the paper's capacity policy), so pages one slot faults in are hits
-// for the next. Results are bit-identical to running each query serially
-// with the same Options.
+// workloads. Every query reads through the DB's buffer pool, like a
+// single query does, so pages one slot faults in are hits for the next.
+// Results are bit-identical to running each query serially with the same
+// Options.
 //
 // Snapshot semantics: the batch holds the DB's read lock for its whole
 // duration, so mutations (Add, AppendSample, Recover) wait for the batch
@@ -54,15 +51,9 @@ type BatchResult struct {
 func (db *DB) KMostSimilarBatch(ctx context.Context, queries []BatchQuery, opts Options) []BatchResult {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	bp := db.warm
-	if bp == nil {
-		// A batch wants one warm pool shared across its workers, not the
-		// single-stripe per-query pool queryPager would build.
-		bp = storage.NewSharedPaperPool(db.wrappedFile())
-	}
 	return RunBatch(ctx, queries, opts, func(ctx context.Context, req Request) (Response, error) {
 		start := time.Now()
-		res, st, err := db.kMostSimilarOn(ctx, bp, req.Q, req.Interval.T1, req.Interval.T2, req.K, req.Metric, req.MetricEps, req.Options)
+		res, st, err := db.kMostSimilar(ctx, req.Q, req.Interval.T1, req.Interval.T2, req.K, req.Metric, req.MetricEps, req.Options)
 		db.finishQuery("batch", metBatch, start, req, st, err)
 		return Response{Results: res, Stats: st}, err
 	})

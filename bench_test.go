@@ -391,7 +391,6 @@ func BenchmarkKMostSimilarBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	db.EnableWarmBuffer()
 	rng := rand.New(rand.NewSource(7))
 	const nq = 32
 	queries := make([]BatchQuery, nq)

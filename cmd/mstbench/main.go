@@ -168,8 +168,8 @@ func main() {
 }
 
 // runBatchExperiment measures KMostSimilarBatch throughput across worker
-// counts on a Fig. 10 Q1-shaped workload (5% windows, k = 1) with the warm
-// shared buffer enabled. It lives here rather than internal/experiments
+// counts on a Fig. 10 Q1-shaped workload (5% windows, k = 1) through the
+// DB's shared buffer pool. It lives here rather than internal/experiments
 // because it drives the public facade (the experiments package sits below
 // it in the import graph). Speedup is relative to the one-worker leg; on a
 // single-CPU machine expect ~1.0× across the board.
@@ -177,7 +177,6 @@ func runBatchExperiment(card, samples, nq int, seed int64) {
 	data := experiments.SyntheticDataset(card, samples, seed)
 	db, err := mstsearch.NewDB(mstsearch.RTree3D, data.Trajs)
 	fail(err)
-	db.EnableWarmBuffer()
 
 	rng := rand.New(rand.NewSource(seed))
 	queries := make([]mstsearch.BatchQuery, nq)
@@ -263,7 +262,6 @@ func runShardExperiment(card, samples, nq int, seed int64) {
 			for i := range data.Trajs {
 				fail(c.Add(data.Trajs[i]))
 			}
-			c.EnableWarmBuffer()
 			opts := mstsearch.Options{ExactRefine: true, Refine: 1}
 			// Untimed warmup so every leg measures the same buffer state.
 			for _, w := range work {
@@ -302,7 +300,6 @@ func runExplainExperiment(card, samples, nq int, seed int64) {
 	data := experiments.SyntheticDataset(card, samples, seed)
 	db, err := mstsearch.NewDB(mstsearch.RTree3D, data.Trajs)
 	fail(err)
-	db.EnableWarmBuffer()
 
 	fmt.Printf("EXPLAIN vs. cost model: GSTD S%04d, %d samples/object, %d queries (5%% windows, k=5)\n",
 		card, samples, nq)
@@ -394,7 +391,6 @@ func runIndexCompareExperiment(card, samples, nq int, seed int64, jsonPath strin
 	for _, kind := range mstsearch.IndexKinds() {
 		db, err := mstsearch.NewDB(kind, data.Trajs)
 		fail(err)
-		db.EnableWarmBuffer()
 		dbs[kind] = db
 		// Untimed warmup so every kind measures the same buffer state.
 		for _, w := range work {

@@ -49,7 +49,6 @@ import (
 // *shard.Cluster.
 type store interface {
 	server.Engine
-	EnableWarmBuffer()
 	Close() error
 }
 
@@ -94,7 +93,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mstserve:", err)
 		os.Exit(1)
 	}
-	db.EnableWarmBuffer()
 
 	cfg := server.DefaultConfig()
 	cfg.DefaultDeadline = *deadline

@@ -107,7 +107,7 @@ func (db *DB) explainLocked(ctx context.Context, req Request, o Options, rep *Ex
 		return err
 	}
 	rep.Estimate = est
-	results, stats, err := db.kMostSimilarOn(ctx, db.queryPager(), req.Q, req.Interval.T1, req.Interval.T2, req.K, req.Metric, req.MetricEps, o)
+	results, stats, err := db.kMostSimilar(ctx, req.Q, req.Interval.T1, req.Interval.T2, req.K, req.Metric, req.MetricEps, o)
 	if err != nil {
 		return err
 	}

@@ -52,7 +52,8 @@ func linearTopK(trajs []Trajectory, q *Trajectory, t1, t2 float64, k int) []scan
 // (seeded, reproducible). Every query must end in exactly one of three
 // states — a correct result (validated against the exact linear-scan
 // oracle), a degraded best-effort result with Stats.Degraded set, or a
-// typed error — and the process must never panic.
+// typed error — and the process must never panic. Each query installs the
+// wrapper afresh, so it runs on a cold pool over its own fault stream.
 func TestFaultInjectionSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	trajs := fleet(rng, 80, 40)
@@ -62,7 +63,7 @@ func TestFaultInjectionSoak(t *testing.T) {
 	}
 
 	var queryNo int64
-	db.SetPagerWrapper(func(p Pager) Pager {
+	wrap := func(p Pager) Pager {
 		queryNo++
 		return &storage.FaultyPager{
 			Inner:         p,
@@ -71,10 +72,11 @@ func TestFaultInjectionSoak(t *testing.T) {
 			Transient:     queryNo%2 == 0, // odd queries: faulted pages stay dead
 			BitFlipRate:   0.01,
 		}
-	})
+	}
 
 	var correct, degraded, failed, canceled int
 	for i := 0; i < 1000; i++ {
+		db.SetPagerWrapper(wrap)
 		src := &trajs[rng.Intn(len(trajs))]
 		t1 := rng.Float64() * 4
 		t2 := t1 + 2 + rng.Float64()*4
@@ -269,14 +271,27 @@ func TestRecoverAfterCorruption(t *testing.T) {
 			}
 			checkExact(t, 0, res, want)
 
-			// Smash the root page: every query must now fail with the typed
-			// corruption error carrying the page id — never a wrong answer.
+			// Smash the root page. The warm pool may still hold a verified
+			// copy of some pages, so the next query either answers exactly
+			// or fails with the typed corruption error — never wrongly.
 			root := db.indexMeta().Root
 			if err := db.file.CorruptPage(root, 5); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = db.KMostSimilar(&q, 2, 8, 3)
+			res, _, err = db.KMostSimilar(&q, 2, 8, 3)
 			var pc ErrPageCorrupt
+			if err == nil {
+				checkExact(t, 0, res, want)
+			} else if !errors.As(err, &pc) {
+				t.Fatalf("corrupted index, warm pool: got %v, want an exact answer or ErrPageCorrupt", err)
+			}
+
+			// On a cold pool every query must fail with the typed
+			// corruption error carrying the root's page id.
+			db.mu.Lock()
+			db.invalidate()
+			db.mu.Unlock()
+			_, _, err = db.KMostSimilar(&q, 2, 8, 3)
 			if !errors.As(err, &pc) {
 				t.Fatalf("corrupted index: got %v, want ErrPageCorrupt", err)
 			}
@@ -308,9 +323,9 @@ func TestRecoverAfterCorruption(t *testing.T) {
 	}
 }
 
-// TestWarmStripedPoolSoak re-runs the hardening contract through the PR's
+// TestWarmStripedPoolSoak re-runs the hardening contract through the
 // concurrent engine: ONE fault-injecting pager shared by every query via
-// the warm striped buffer, hammered by ~300 mixed serial and batched
+// the DB's striped buffer pool, hammered by ~300 mixed serial and batched
 // (Parallelism = 4) queries. The contract is unchanged from the per-query
 // soak — every query ends correct (oracle-checked) or with a typed error,
 // never with silently wrong bytes — but now all of it flows through shared
@@ -333,7 +348,6 @@ func TestWarmStripedPoolSoak(t *testing.T) {
 		faulty.Inner = p
 		return faulty
 	})
-	db.EnableWarmBuffer()
 
 	newQuery := func() (Trajectory, float64, float64, int) {
 		src := &trajs[rng.Intn(len(trajs))]

@@ -51,7 +51,6 @@ func TestChaosSoak(t *testing.T) {
 			Transient:     true,
 		}
 	})
-	db.EnableWarmBuffer()
 
 	cfg := DefaultConfig()
 	cfg.MaxConcurrent = 4

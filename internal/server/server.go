@@ -125,8 +125,7 @@ type Server struct {
 }
 
 // New builds a Server over a single DB. The DB keeps working as a library
-// alongside the server; EnableWarmBuffer is recommended before serving
-// so queries share a warm pool.
+// alongside the server, and its queries share the DB's buffer pool.
 func New(db *mstsearch.DB, cfg Config) *Server {
 	return NewEngine(db, cfg)
 }

@@ -17,8 +17,7 @@ import (
 	"mstsearch/internal/testutil"
 )
 
-// newTestDB builds an in-memory fleet DB with a warm buffer, the way
-// mstserve serves it.
+// newTestDB builds an in-memory fleet DB, the way mstserve serves it.
 func newTestDB(t testing.TB, objects int) *mstsearch.DB {
 	t.Helper()
 	data := gstd.Generate(gstd.Config{NumObjects: objects, SamplesPerObject: 48, Seed: 7})
@@ -26,7 +25,6 @@ func newTestDB(t testing.TB, objects int) *mstsearch.DB {
 	if err != nil {
 		t.Fatalf("NewDB: %v", err)
 	}
-	db.EnableWarmBuffer()
 	return db
 }
 

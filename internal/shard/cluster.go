@@ -126,9 +126,8 @@ type Cluster struct {
 	// snapshot against mutations. It orders the cluster above its
 	// shards: every path takes it before any replica-set or shard lock,
 	// and no shard method ever calls back into the cluster.
-	mu   sync.RWMutex         // lockrank: 5 — held before replicaSet.mu (8) and any shard DB.mu (10)
-	dir  map[mstsearch.ID]int // trajectory → owning shard
-	warm bool                 // EnableWarmBuffer was called; a repaired replica is warmed too
+	mu  sync.RWMutex         // lockrank: 5 — held before replicaSet.mu (8) and any shard DB.mu (10)
+	dir map[mstsearch.ID]int // trajectory → owning shard
 }
 
 // New creates an in-memory cluster of n shards under the placement policy.
@@ -433,21 +432,12 @@ func (c *Cluster) NumSegments() int {
 	return n
 }
 
-// EnableWarmBuffer switches every replica to a shared warm buffer pool
-// (see mstsearch.DB.EnableWarmBuffer), including replicas a later repair
-// re-seeds.
-func (c *Cluster) EnableWarmBuffer() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.warm = true
-	for _, rs := range c.sets {
-		for r := range rs.reps {
-			if db := rs.db(r); db != nil {
-				db.EnableWarmBuffer()
-			}
-		}
-	}
-}
+// EnableWarmBuffer does nothing: every replica's DB reads through its own
+// shared buffer pool from the moment it is built, repaired replicas
+// included.
+//
+// Deprecated: the pool is always on; remove the call.
+func (c *Cluster) EnableWarmBuffer() {}
 
 // Checkpoint folds every replica's WAL into a fresh snapshot (durable
 // clusters only; see mstsearch.DB.Checkpoint).

@@ -118,9 +118,6 @@ func (c *Cluster) repairReplica(i, r int) (src int, err error) {
 			return src, err
 		}
 	}
-	if c.warm {
-		fresh.EnableWarmBuffer()
-	}
 	rs.admit(r, fresh)
 	return src, nil
 }

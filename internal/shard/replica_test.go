@@ -276,8 +276,7 @@ func TestInMemoryRepairReseed(t *testing.T) {
 }
 
 // TestReplicaRepairKeepsWarmBufferInMemory: a replica the in-memory
-// repair path re-seeds reads through a warm pool when the cluster's
-// replicas do.
+// repair path re-seeds reads through a warm pool, like every replica.
 func TestReplicaRepairKeepsWarmBufferInMemory(t *testing.T) {
 	c, err := New(mstsearch.RTree3D, 1, HashPlacement{}, Options{Replicas: 2})
 	if err != nil {
@@ -298,11 +297,11 @@ func TestReplicaRepairKeepsWarmBufferDurable(t *testing.T) {
 	checkRepairKeepsWarmBuffer(t, c)
 }
 
-// checkRepairKeepsWarmBuffer loads a one-shard, two-replica cluster,
-// warms it, and runs one query twice on replica 0, before and after that
-// replica is quarantined and repaired. A warm pool serves part of the
-// repeat from the frames the first run cached; the cold per-query pool
-// reads exactly the same pages again.
+// checkRepairKeepsWarmBuffer loads a one-shard, two-replica cluster and
+// runs one query twice on replica 0, before and after that replica is
+// quarantined and repaired. A warm pool serves part of the repeat from
+// the frames the first run cached; a cold pool would read exactly the
+// same pages again.
 func checkRepairKeepsWarmBuffer(t *testing.T, c *Cluster) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(35))
@@ -317,7 +316,6 @@ func checkRepairKeepsWarmBuffer(t *testing.T, c *Cluster) {
 			t.Fatal(err)
 		}
 	}
-	c.EnableWarmBuffer()
 	q := c.Replica(0, 1).Get(7)
 	check := func(when string) {
 		var reads [2]uint64

@@ -43,8 +43,8 @@ var ErrTransient = fmt.Errorf("%w (transient)", ErrInjected)
 // shared (striped) pool hammered by parallel queries. The interleaving of
 // concurrent operations onto the seeded fault stream is scheduling-
 // dependent; for operation-exact reproducibility keep the pager
-// single-goroutine (e.g. one instance per query, as SetPagerWrapper
-// builds them).
+// single-goroutine (e.g. install a fresh one through the DB's
+// SetPagerWrapper before each query of a serial run).
 type FaultyPager struct {
 	Inner Pager
 

@@ -3,9 +3,9 @@ package storage
 import "mstsearch/internal/obs"
 
 // Process-wide buffer-pool metrics, summed over every pool in the process
-// (the per-query and the shared warm pools alike). Handles resolve once at
-// init and each pool operation costs at most one extra atomic add per
-// counter touched — the hot paths stay allocation-free.
+// (each DB's shared pool and the paper experiments' pools alike). Handles
+// resolve once at init and each pool operation costs at most one extra
+// atomic add per counter touched — the hot paths stay allocation-free.
 var metPool = struct {
 	hits, misses, retries, evictions *obs.Counter
 }{

@@ -121,7 +121,7 @@ func PaperCapacity(numPages int) int {
 }
 
 // NewSharedPaperPool applies the paper's buffer policy to an existing
-// pager across the default shard layout: the warm pool shared by
+// pager across the default shard layout: a DB's pool, shared by its
 // concurrent queries.
 func NewSharedPaperPool(inner Pager) *StripedPool {
 	return NewStripedPool(inner, PaperCapacity(inner.NumPages()), 0)

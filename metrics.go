@@ -82,11 +82,11 @@ type MetricsSnapshot = obs.Snapshot
 // HistogramSnapshot is one histogram's state inside a MetricsSnapshot.
 type HistogramSnapshot = obs.HistogramSnapshot
 
-// Metrics snapshots the process-wide metrics registry: storage pool
-// hits/misses/retries/evictions per pool kind, search-loop work counters
-// (nodes visited, heap traffic, per-heuristic prune counts, trapezoid vs.
-// exact DISSIM evaluations), and per-query-kind latency and outcome
-// counters. The registry is process-global — shared by every DB in the
+// Metrics snapshots the process-wide metrics registry: buffer pool
+// hits/misses/retries/evictions summed over every pool in the process,
+// search-loop work counters (nodes visited, heap traffic, per-heuristic
+// prune counts, trapezoid vs. exact DISSIM evaluations), and
+// per-query-kind latency and outcome counters. The registry is process-global — shared by every DB in the
 // process — and the method is defined on DB so the handle callers already
 // hold is the one that exposes it.
 func (db *DB) Metrics() MetricsSnapshot { return obs.Default.Snapshot() }

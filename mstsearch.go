@@ -74,7 +74,7 @@ type SearchStats struct {
 	TotalNodes      int
 	Enqueued        int     // best-first heap insertions
 	PruningPower    float64 // fraction of tree nodes never touched
-	PageReads       uint64  // physical page reads (buffer misses)
+	PageReads       uint64  // physical page reads (buffer misses): a delta on the DB's shared pool, approximate under concurrent queries
 	BufferHits      uint64
 	Retries         uint64 // page reads retried after transient faults
 	Evictions       uint64 // buffer frames evicted during the query
@@ -118,6 +118,8 @@ type Options struct {
 	MaxNodeAccesses int
 	// MaxIOReads bounds the physical page reads (buffer misses) the query
 	// may cause (0 = unlimited); exhaustion degrades like MaxNodeAccesses.
+	// The count is the delta on the DB's shared pool since the query
+	// began, so misses of concurrent queries count against it too.
 	MaxIOReads uint64
 	// Parallelism tunes the concurrency of the query engine: it caps the
 	// worker goroutines a KMostSimilarBatch call executes queries on, and
@@ -203,8 +205,12 @@ func MetricDistance(m Metric, eps float64, q, tr *Trajectory, t1, t2 float64) (f
 }
 
 // DB is a trajectory database: an in-memory trajectory store plus a paged
-// spatiotemporal index (4 KB pages) queried through an LRU buffer pool
-// sized by the paper's policy (10 % of the index, ≤1000 pages).
+// spatiotemporal index (4 KB pages). Every read — queries, explain, range,
+// nearest, topology and batches — goes through one LRU buffer pool per DB,
+// sized by the paper's policy (10 % of the index, ≤1000 pages) and shared
+// by concurrent queries, so repeated queries stop paying physical reads.
+// A mutation (Add, AppendSample, Recover) or SetPagerWrapper replaces the
+// pool with an empty one sized to the current index.
 //
 // A DB is safe for concurrent use: queries may run in parallel with each
 // other and are serialized against mutations (Add, AppendSample, Recover)
@@ -223,7 +229,7 @@ type DB struct {
 	byID  map[ID]int
 	vmax  float64
 
-	warm *storage.StripedPool // optional warm buffer shared across queries
+	pool *storage.StripedPool // the buffer pool every read goes through; rebuilt by invalidate
 
 	// Durable mode (OpenDurable): the write-ahead log mutations journal
 	// into, the directory holding it and the checkpoint snapshots, and
@@ -234,8 +240,8 @@ type DB struct {
 	epoch uint32
 	dopt  DurableOptions
 
-	// pagerWrap, when set, wraps the pager underneath each per-query
-	// buffer pool — the fault-injection / instrumentation seam.
+	// pagerWrap, when set, wraps the page file underneath the buffer
+	// pool — the fault-injection / instrumentation seam.
 	pagerWrap func(Pager) Pager
 
 	dsMu sync.Mutex             // lockrank: 20 — taken under db.mu, never the reverse
@@ -288,25 +294,17 @@ var (
 // damaged page's id.
 type ErrPageCorrupt = storage.ErrPageCorrupt
 
-// SetPagerWrapper installs a wrapper applied to the pager underneath every
-// subsequently built buffer pool (nil removes it): each per-query pool
-// gets its own wrapper instance, and an enabled warm shared buffer is
-// rebuilt immediately over a single wrapped pager — which therefore must
-// be safe for concurrent use (FaultyPager is). It is the seam for fault
-// injection and I/O instrumentation.
+// SetPagerWrapper installs a wrapper applied to the page file underneath
+// the DB's buffer pool (nil removes it) and rebuilds the pool empty at
+// once. wrap is called once per pool build — here and on every later
+// mutation — and the wrapped pager it returns is shared by all concurrent
+// queries, so it must be safe for concurrent use (FaultyPager is). It is
+// the seam for fault injection and I/O instrumentation.
 func (db *DB) SetPagerWrapper(wrap func(Pager) Pager) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.pagerWrap = wrap
-	if db.warm != nil {
-		db.warm = db.newWarmPool()
-	}
-}
-
-// statsPager is the query-side pager view: page access plus counters.
-type statsPager interface {
-	storage.Pager
-	Stats() storage.Stats
+	db.invalidate()
 }
 
 // Open creates an empty database backed by the chosen index structure.
@@ -317,6 +315,7 @@ func Open(kind IndexKind) *DB {
 	}
 	db := &DB{kind: kind, file: storage.NewFile(storage.DefaultPageSize), byID: map[ID]int{}}
 	db.eng = db.newEngine(kind, db.file)
+	db.invalidate()
 	return db
 }
 
@@ -376,25 +375,23 @@ func (db *DB) applyAddLocked(tr Trajectory) error {
 	return nil
 }
 
-// invalidate drops caches made stale by a mutation: the dataset view, the
-// selectivity histogram, and the warm buffer pool (whose frames no longer
-// reflect the rewritten index pages). Callers must hold db.mu (write
-// side); invalidate touches db.warm and db.file under that lock.
+// invalidate drops caches made stale by a mutation — the dataset view and
+// the selectivity histogram — and replaces the buffer pool with an empty
+// one over the (possibly wrapped) page file, sized by the paper's policy
+// for the index as it now stands: the engines write to db.file behind the
+// pool, so its frames no longer reflect the rewritten pages. Open and
+// Load call it to build the first pool. Callers must hold db.mu (write
+// side) or own the DB exclusively.
 func (db *DB) invalidate() {
 	db.dsMu.Lock()
 	db.ds = nil
 	db.hist = nil
 	db.dsMu.Unlock()
-	if db.warm != nil {
-		db.warm = db.newWarmPool()
+	pager := storage.Pager(db.file)
+	if db.pagerWrap != nil {
+		pager = db.pagerWrap(pager)
 	}
-}
-
-// newWarmPool builds the shared striped pool over the (possibly
-// fault-wrapped) page file, with the paper's capacity policy. Callers
-// must hold db.mu (write side).
-func (db *DB) newWarmPool() *storage.StripedPool {
-	return storage.NewSharedPaperPool(db.wrappedFile())
+	db.pool = storage.NewSharedPaperPool(pager)
 }
 
 // AppendSample extends a stored trajectory with one newer position — the
@@ -584,55 +581,17 @@ func (db *DB) IndexSizeMB() float64 {
 	return float64(db.file.SizeBytes()) / (1024 * 1024)
 }
 
-// EnableWarmBuffer switches the database from per-query buffer pools to a
-// single striped pool shared by all queries (the paper's policy:
-// 10 % of the index, ≤1000 pages). A warm shared cache matches how a
-// database actually serves a workload — repeat queries stop paying
-// physical reads — and is safe under concurrent queries. Call it after
-// loading the data; mutations (Add/AppendSample) automatically replace
-// the pool so cached frames never go stale.
-func (db *DB) EnableWarmBuffer() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.warm = db.newWarmPool()
-}
+// EnableWarmBuffer does nothing: every DB reads through one shared buffer
+// pool from the moment it is built.
+//
+// Deprecated: the pool is always on; remove the call.
+func (db *DB) EnableWarmBuffer() {}
 
-// view builds a buffered read view of the index: the shared warm pool when
-// enabled, otherwise a fresh per-query pool (wrapped by the fault-
-// injection seam when installed). Callers must hold db.mu and type-switch
-// the view to the capability they need (index.Tree for segment-level
-// queries, index.MetricTree for metric kNN).
-func (db *DB) view() (index.Index, statsPager) {
-	bp := db.queryPager()
-	return db.indexOn(bp), bp
-}
-
-// queryPager picks the pager a query reads through: the shared warm pool
-// when enabled, otherwise a fresh one-stripe pool — the paper's single
-// LRU — over the (possibly fault-wrapped) page file. Callers must hold
-// db.mu.
-func (db *DB) queryPager() statsPager {
-	if db.warm != nil {
-		return db.warm
-	}
-	pager := db.wrappedFile()
-	return storage.NewStripedPool(pager, storage.PaperCapacity(pager.NumPages()), 1)
-}
-
-// wrappedFile returns the page file behind the fault-injection /
-// instrumentation seam when one is installed. Callers must hold db.mu.
-func (db *DB) wrappedFile() storage.Pager {
-	base := storage.Pager(db.file)
-	if db.pagerWrap != nil {
-		base = db.pagerWrap(base)
-	}
-	return base
-}
-
-// indexOn opens a read view of the index structure over the given pager.
-// Callers must hold db.mu.
-func (db *DB) indexOn(bp storage.Pager) index.Index {
-	return db.eng.view(bp)
+// view opens a read view of the index over the DB's buffer pool. Callers
+// must hold db.mu and type-switch the view to the capability they need
+// (index.Tree for segment-level queries, index.MetricTree for metric kNN).
+func (db *DB) view() index.Index {
+	return db.eng.view(db.pool)
 }
 
 // KMostSimilar runs a k-MST query: the k stored trajectories with the
@@ -677,20 +636,19 @@ func (db *DB) KMostSimilarOptsContext(ctx context.Context, q *Trajectory, t1, t2
 	return r.Results, r.Stats, err
 }
 
-// kMostSimilarOn runs one k-MST / metric-kNN query through the given
-// pager — the common core of the single-query entry points (fresh or warm
-// pool) and the batch executor (pool shared across workers). Callers must
-// hold db.mu (read side). With a shared pool, the I/O fields of
-// SearchStats are counter deltas attributed best-effort: concurrent
-// queries interleave on the same counters, so per-query
-// PageReads/BufferHits are approximate while the pool-level totals stay
-// exact.
-func (db *DB) kMostSimilarOn(ctx context.Context, bp statsPager, q *Trajectory, t1, t2 float64, k int, m Metric, eps float64, o Options) ([]Result, SearchStats, error) {
+// kMostSimilar runs one k-MST / metric-kNN query through the DB's buffer
+// pool — the common core of the single-query entry points, explain and
+// the batch executor. Callers must hold db.mu (read side). The I/O fields
+// of SearchStats are deltas on the shared pool's counters: concurrent
+// queries interleave on them, so per-query PageReads/BufferHits are
+// approximate while the pool-level totals stay exact.
+func (db *DB) kMostSimilar(ctx context.Context, q *Trajectory, t1, t2 float64, k int, m Metric, eps float64, o Options) ([]Result, SearchStats, error) {
 	if q == nil {
 		return nil, SearchStats{}, fmt.Errorf("%w: nil query trajectory", ErrBadQuery)
 	}
-	view := db.indexOn(bp)
-	before := bp.Stats() // per-query I/O = counter delta (fresh pools start at zero)
+	bp := db.pool
+	view := db.view()
+	before := bp.Stats()
 	opts := mst.Options{
 		K:                 k,
 		Vmax:              db.vmax + q.MaxSpeed(),

@@ -109,7 +109,6 @@ func TestQueryNoAllocRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.EnableWarmBuffer()
 	q := obsFleet(43)[0]
 	q.ID = 0
 	req := Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3, Options: DefaultOptions()}
@@ -144,7 +143,6 @@ func TestMetricQueryNoAllocRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.EnableWarmBuffer()
 	q := obsFleet(43)[0]
 	q.ID = 0
 	req := Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3, Metric: MetricDTW, Options: DefaultOptions()}
@@ -415,7 +413,6 @@ func benchmarkQuery(b *testing.B, traced bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	db.EnableWarmBuffer()
 	q := obsFleet(43)[0]
 	q.ID = 0
 	o := DefaultOptions()

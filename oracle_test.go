@@ -94,10 +94,9 @@ func TestDifferentialOracle(t *testing.T) {
 	fleets := []struct {
 		name string
 		cfg  gstd.Config
-		warm bool
 	}{
-		{"S0030", gstd.Config{NumObjects: 30, SamplesPerObject: 121, Seed: 1}, false},
-		{"S0048", gstd.Config{NumObjects: 48, SamplesPerObject: 81, Seed: 2}, true},
+		{"S0030", gstd.Config{NumObjects: 30, SamplesPerObject: 121, Seed: 1}},
+		{"S0048", gstd.Config{NumObjects: 48, SamplesPerObject: 81, Seed: 2}},
 	}
 	const queriesPerCombo = 56 // × (serial+parallel+batch) × 3 kinds × 2 fleets = 1008 executions
 	executions := 0
@@ -109,9 +108,6 @@ func TestDifferentialOracle(t *testing.T) {
 				db, err := NewDB(kind, trajs)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if fl.warm {
-					db.EnableWarmBuffer()
 				}
 				rng := rand.New(rand.NewSource(1000*int64(kind) + fl.cfg.Seed))
 

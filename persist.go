@@ -313,6 +313,7 @@ func Load(path string) (*DB, error) {
 	db.eng = db.openEngine(db.kind, db.file, index.Meta{
 		Root: storage.PageID(root), Height: int(height), Nodes: int(nodes),
 	})
+	db.invalidate()
 	if db.vmax == 0 {
 		for i := range db.trajs {
 			db.vmax = math.Max(db.vmax, db.trajs[i].MaxSpeed())

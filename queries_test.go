@@ -1,9 +1,11 @@
 package mstsearch
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -272,7 +274,6 @@ func TestWarmBufferCachesAcrossQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.EnableWarmBuffer()
 	q := trajs[4].Clone()
 	q.ID = 0
 	res1, s1, err := db.KMostSimilar(&q, 2, 6, 2)
@@ -317,6 +318,91 @@ func TestWarmBufferCachesAcrossQueries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPoolWarmByDefault: a DB reads through its shared buffer pool however
+// it came into being, with no opt-in call, so a repeated query is served
+// partly from the frames the first run cached.
+func TestPoolWarmByDefault(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	// Large enough that the paper's 10 % buffer policy yields a pool that
+	// can actually hold a root-to-leaf path.
+	trajs := fleet(rng, 100, 60)
+	built, err := NewDB(RTree3D, trajs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addAll := func(t *testing.T, db *DB) {
+		t.Helper()
+		for i := range trajs {
+			if err := db.Add(trajs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	closeAtEnd := func(t *testing.T, db *DB) *DB {
+		t.Cleanup(func() {
+			if err := db.Close(); err != nil {
+				t.Error(err)
+			}
+		})
+		return db
+	}
+	builds := []struct {
+		name string
+		open func(t *testing.T) (*DB, error)
+	}{
+		{"Open+Add", func(t *testing.T) (*DB, error) {
+			db := Open(RTree3D)
+			addAll(t, db)
+			return db, nil
+		}},
+		{"NewDB", func(*testing.T) (*DB, error) { return built, nil }},
+		{"Load", func(t *testing.T) (*DB, error) {
+			path := filepath.Join(t.TempDir(), "snap")
+			if err := built.Save(path); err != nil {
+				return nil, err
+			}
+			return Load(path)
+		}},
+		{"OpenDurable", func(t *testing.T) (*DB, error) {
+			db, err := OpenDurable(t.TempDir(), RTree3D, DurableOptions{Sync: SyncOff})
+			if err != nil {
+				return nil, err
+			}
+			addAll(t, closeAtEnd(t, db))
+			return db, nil
+		}},
+		{"CloneDurable", func(t *testing.T) (*DB, error) {
+			db, err := built.CloneDurable(t.TempDir(), DurableOptions{Sync: SyncOff})
+			if err != nil {
+				return nil, err
+			}
+			return closeAtEnd(t, db), nil
+		}},
+	}
+	q := trajs[4].Clone()
+	q.ID = 0
+	req := Request{Q: &q, Interval: Interval{T1: 2, T2: 6}, K: 2, Options: DefaultOptions()}
+	for _, b := range builds {
+		t.Run(b.name, func(t *testing.T) {
+			db, err := b.open(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reads [2]uint64
+			for i := range reads {
+				resp, err := db.Query(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reads[i] = resp.Stats.PageReads
+			}
+			if reads[0] == 0 || reads[1] >= reads[0] {
+				t.Fatalf("a repeated query read %d pages after %d; want fewer (warm pool)", reads[1], reads[0])
+			}
+		})
+	}
 }
 
 func TestKMostSimilarAutoScanPath(t *testing.T) {

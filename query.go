@@ -161,7 +161,7 @@ func (db *DB) Query(ctx context.Context, req Request) (Response, error) {
 	o := req.Options
 	sum := wrapTrace(&o)
 	db.mu.RLock()
-	results, stats, err := db.kMostSimilarOn(ctx, db.queryPager(), req.Q, req.Interval.T1, req.Interval.T2, req.K, req.Metric, req.MetricEps, o)
+	results, stats, err := db.kMostSimilar(ctx, req.Q, req.Interval.T1, req.Interval.T2, req.K, req.Metric, req.MetricEps, o)
 	db.mu.RUnlock()
 	db.finishQuery("kmst", metKMST, start, req, stats, err)
 	return Response{Results: results, Stats: stats, Trace: sum}, err
@@ -183,7 +183,7 @@ func (db *DB) QueryLowerBound(ctx context.Context, req Request) (float64, error)
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	switch tree := db.indexOn(db.queryPager()).(type) {
+	switch tree := db.view().(type) {
 	case index.MetricTree:
 		return mst.MetricLowerBound(tree, req.Q, req.Interval.T1, req.Interval.T2, req.Metric, req.MetricEps)
 	case index.Tree:
@@ -229,7 +229,7 @@ func (db *DB) queryAutoLocked(ctx context.Context, req Request, o Options) (Resp
 	// The linear-scan plan evaluates DISSIM only; a baseline-metric query
 	// always runs through the index (which validates kind support).
 	if req.Metric != MetricDISSIM || est.ExpectedSegments < 0.5*float64(db.numSegments()) {
-		results, stats, err := db.kMostSimilarOn(ctx, db.queryPager(), req.Q, req.Interval.T1, req.Interval.T2, req.K, req.Metric, req.MetricEps, o)
+		results, stats, err := db.kMostSimilar(ctx, req.Q, req.Interval.T1, req.Interval.T2, req.K, req.Metric, req.MetricEps, o)
 		return Response{Results: results, Stats: stats}, true, err
 	}
 	ds, err := db.dataset()
@@ -296,7 +296,7 @@ func (db *DB) nearestLocked(ctx context.Context, x, y, t float64, k int) ([]Neig
 		res []index.NNResult
 		err error
 	)
-	view, _ := db.view()
+	view := db.view()
 	if tree, ok := view.(index.Tree); ok {
 		res, err = index.NearestAtContext(ctx, tree, p, t, k)
 	} else {
@@ -359,7 +359,7 @@ func (db *DB) scanNearest(ctx context.Context, p geom.Point, t float64, k int) (
 // through the index for segment-carrying kinds, by store scan for the
 // metric kind. Callers must hold db.mu.
 func (db *DB) segmentsInBox(ctx context.Context, box MBB) ([]index.LeafEntry, error) {
-	view, _ := db.view()
+	view := db.view()
 	if tree, ok := view.(index.Tree); ok {
 		return index.RangeSearchContext(ctx, tree, box)
 	}

@@ -54,7 +54,6 @@ func BenchmarkClusterQuery(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				c.EnableWarmBuffer()
 				opts := mstsearch.Options{ExactRefine: true, Refine: 1}
 				var fanout, pruned int
 				b.ResetTimer()
@@ -136,7 +135,6 @@ func BenchmarkReplicaQuery(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			c.EnableWarmBuffer()
 			if mode == "failover-window" {
 				kill(c)
 			}

@@ -15,13 +15,14 @@ import (
 	"mstsearch/internal/testutil"
 )
 
-// Cluster chaos: one shard's pager injects faults and corruption while
-// queries, mutations, and cancellation storms hammer the whole cluster
-// concurrently. Every query must end in exactly one of three states —
-// a correct merged answer (validated against the brute-force oracle), a
-// degraded best-effort answer with Stats.Degraded set, or a typed error —
-// with no panics, no goroutine leaks, and no races (the CI concurrency
-// matrix runs this suite under -race at GOMAXPROCS 1 and 4).
+// Cluster chaos: one shard sits on a flaky disk — its pager fails reads
+// transiently and flips bits in transit — while queries, mutations, and
+// cancellation storms hammer the whole cluster concurrently. Every query
+// must end in exactly one of three states — a correct merged answer
+// (validated against the brute-force oracle), a degraded best-effort
+// answer with Stats.Degraded set, or a typed error — with no panics, no
+// goroutine leaks, and no races (the CI concurrency matrix runs this
+// suite under -race at GOMAXPROCS 1 and 4).
 
 // typedClusterError reports whether err belongs to the query path's
 // documented failure taxonomy.
@@ -38,24 +39,26 @@ func TestClusterChaosConcurrent(t *testing.T) {
 	trajs := mstsearch.FleetForTest(rng, 60, 30)
 	c := buildCluster(t, mstsearch.RTree3D, 4, shard.HashPlacement{}, shard.Options{}, trajs)
 
-	// Shard 2 becomes the sick node: every query against it reads through
-	// a fresh seeded FaultyPager — transient faults on even seeds, dead
-	// pages and bit flips on odd ones. Its siblings stay healthy.
-	var pagerNo atomic.Int64
+	// Shard 2 becomes the sick node: its buffer pool, shared by every
+	// concurrent query, reads through one seeded flaky disk. The pool's
+	// bounded retries absorb most faults; the rest surface as typed
+	// errors, and they may get the shard's only replica quarantined (a
+	// page still corrupt after the retries at once, transient faults
+	// after three strikes), after which its queries fail with
+	// ErrUnavailable. Its siblings stay healthy.
 	c.Shard(2).SetPagerWrapper(func(p mstsearch.Pager) mstsearch.Pager {
-		n := pagerNo.Add(1)
 		return &storage.FaultyPager{
 			Inner:         p,
-			Seed:          n,
-			ReadFaultRate: 0.05,
-			Transient:     n%2 == 0,
+			Seed:          53,
+			ReadFaultRate: 0.3,
+			Transient:     true,
 			BitFlipRate:   0.02,
 		}
 	})
 
 	const workers = 8
 	const itersPerWorker = 40
-	var correct, degraded, failed, canceled atomic.Int64
+	var correct, degraded, failed, canceled, unavailable atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -92,6 +95,10 @@ func TestClusterChaosConcurrent(t *testing.T) {
 				}
 
 				resp, err := c.Query(context.Background(), req)
+				if errors.Is(err, mstsearch.ErrUnavailable) {
+					unavailable.Add(1)
+					continue
+				}
 				if err != nil {
 					if !typedClusterError(err) {
 						t.Errorf("worker %d iter %d: untyped error %v", seed, i, err)
@@ -136,8 +143,15 @@ func TestClusterChaosConcurrent(t *testing.T) {
 	if failed.Load()+degraded.Load() == 0 {
 		t.Fatal("chaos run surfaced no faults from the sick shard; the injection never fired")
 	}
-	t.Logf("chaos outcomes: %d correct, %d degraded, %d typed failures, %d canceled",
-		correct.Load(), degraded.Load(), failed.Load(), canceled.Load())
+	if unavailable.Load() > 0 {
+		for _, st := range c.ReplicaStatuses() {
+			if st.Shard == 2 && st.State != "quarantined" {
+				t.Fatalf("%d queries found shard 2 unavailable, but its replica %d is %s", unavailable.Load(), st.Replica, st.State)
+			}
+		}
+	}
+	t.Logf("chaos outcomes: %d correct, %d degraded, %d typed failures, %d canceled, %d unavailable",
+		correct.Load(), degraded.Load(), failed.Load(), canceled.Load(), unavailable.Load())
 }
 
 // TestClusterConcurrentMutationsAndQueries races the mutation path (Add /

@@ -155,12 +155,7 @@ func TestSoakRandomOperations(t *testing.T) {
 							t.Fatalf("NN distance %v, recomputed %v", res[0].Dist, d)
 						}
 					}
-				case 4: // k-MST vs oracle
-					verifyKMST()
-				default: // toggle the warm buffer occasionally
-					if rng.Intn(2) == 0 {
-						db.EnableWarmBuffer()
-					}
+				default: // k-MST vs oracle
 					verifyKMST()
 				}
 			}
