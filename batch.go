@@ -68,9 +68,7 @@ func (db *DB) KMostSimilarBatch(ctx context.Context, queries []BatchQuery, opts 
 //   - runs it under the slot's Ctx when set, additionally canceled when ctx
 //     is done (the slot's Ctx is primary, so its deadline surfaces as
 //     ErrDeadlineExceeded), and under ctx otherwise;
-//   - uses the slot's Opts when set, opts otherwise, with Parallelism
-//     always taken from opts: it sizes the worker pool, a batch-wide
-//     property.
+//   - uses the slot's Opts when set, opts otherwise.
 //
 // Slots run on opts.Parallelism workers (<= 0 means GOMAXPROCS), never
 // more than the batch size, inline when that is one. Results come back in
@@ -86,7 +84,6 @@ func RunBatch(ctx context.Context, queries []BatchQuery, opts Options, run func(
 		}
 		if bq.Opts != nil {
 			req.Options = *bq.Opts
-			req.Options.Parallelism = opts.Parallelism
 		}
 		slotCtx := ctx
 		if bq.Ctx != nil {

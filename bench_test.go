@@ -158,17 +158,19 @@ func benchDB(b *testing.B, kind IndexKind) (*DB, Trajectory) {
 }
 
 // BenchmarkAblationHeuristics quantifies what each pruning heuristic buys
-// (DESIGN.md §4.2): the same query with heuristics individually disabled.
+// (DESIGN.md §4.2): the same query with heuristics individually disabled,
+// on the paper's search. ExactRefine is off, because the store path has
+// no partial candidates for Heuristic 1 to reject.
 func BenchmarkAblationHeuristics(b *testing.B) {
 	db, q := benchDB(b, RTree3D)
 	cases := []struct {
 		name string
 		opt  Options
 	}{
-		{"full", Options{ExactRefine: true}},
-		{"noH1", Options{ExactRefine: true, DisableHeuristic1: true}},
-		{"noH2", Options{ExactRefine: true, DisableHeuristic2: true}},
-		{"noH1H2", Options{ExactRefine: true, DisableHeuristic1: true, DisableHeuristic2: true}},
+		{"full", Options{}},
+		{"noH1", Options{DisableHeuristic1: true}},
+		{"noH2", Options{DisableHeuristic2: true}},
+		{"noH1H2", Options{DisableHeuristic1: true, DisableHeuristic2: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -186,15 +188,16 @@ func BenchmarkAblationHeuristics(b *testing.B) {
 }
 
 // BenchmarkAblationRefine measures the trapezoid refinement knob
-// (DESIGN.md §4.1): Lemma 1 as published (refine=1) vs subdivided
-// intervals vs relying on exact refinement only.
+// (DESIGN.md §4.1) on the paper's search: Lemma 1 as published
+// (refine=1) vs subdivided intervals. ExactRefine is off, because with it
+// on the search evaluates no trapezoid.
 func BenchmarkAblationRefine(b *testing.B) {
 	db, q := benchDB(b, RTree3D)
 	for _, refine := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("refine=%d", refine), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, _, err := db.KMostSimilarOpts(&q, q.StartTime(), q.EndTime(), 1,
-					Options{ExactRefine: true, Refine: refine})
+					Options{Refine: refine})
 				if err != nil {
 					b.Fatal(err)
 				}

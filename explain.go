@@ -133,7 +133,7 @@ func (r *ExplainReport) String() string {
 		r.Stats.LeavesAccessed, r.Estimate.ExpectedLeafPages)
 	fmt.Fprintf(&b, "  heap enqueued        %d\n", r.Stats.Enqueued)
 	fmt.Fprintf(&b, "  trapezoid evals      %d\n", r.Stats.TrapezoidEvals)
-	fmt.Fprintf(&b, "  exact refinements    %d\n", r.Stats.ExactRefined)
+	fmt.Fprintf(&b, "  exact decisions      %d\n", r.Stats.ExactRefined)
 	fmt.Fprintf(&b, "  page I/O             %d reads, %d buffer hits, %d retries, %d evictions\n",
 		r.Stats.PageReads, r.Stats.BufferHits, r.Stats.Retries, r.Stats.Evictions)
 	if r.Stats.TerminatedEarly {

@@ -51,3 +51,9 @@ func CheckBitIdentical(t *testing.T, label string, iter int, a, b []Result) {
 	t.Helper()
 	checkBitIdentical(t, label, iter, a, b)
 }
+
+// LifespanWorkload re-exports the heterogeneous-lifespan fleet and its
+// requests (Q and Interval set).
+func LifespanWorkload(nq int) ([]Trajectory, []Request) {
+	return lifespanWorkload(nq)
+}

@@ -108,7 +108,7 @@ func TestSearchDeadlineExpired(t *testing.T) {
 
 // MaxNodeAccesses is a hard budget: the search never exceeds it, reports
 // Degraded, and every result it marks Certified really is in the true
-// top-k of the exact linear scan.
+// top-k of the exact linear scan — on the store path and on the paper's.
 func TestSearchNodeBudgetDegrades(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	data := makeDataset(rng, 60, 100)
@@ -120,37 +120,39 @@ func TestSearchNodeBudgetDegrades(t *testing.T) {
 		t2 := t1 + 20 + rng.Float64()*30
 		q := queryFrom(rng, src, t1, t2)
 		k := 2 + rng.Intn(3)
-
-		_, full, err := Search(rt, &q, t1, t2, Options{K: k, Vmax: 120, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.NodesAccessed < 3 {
-			continue
-		}
-		budget := 1 + rng.Intn(full.NodesAccessed-1)
-
-		res, st, err := Search(rt, &q, t1, t2, Options{
-			K: k, Vmax: 120, Data: data, MaxNodeAccesses: budget,
-		})
-		if err != nil {
-			t.Fatalf("iter %d: budgeted search failed: %v", iter, err)
-		}
-		if st.NodesAccessed > budget {
-			t.Fatalf("iter %d: budget %d exceeded: %d nodes", iter, budget, st.NodesAccessed)
-		}
-		if !st.Degraded {
-			t.Fatalf("iter %d: budget %d < full %d but Degraded not set", iter, budget, full.NodesAccessed)
-		}
-
+		budgetDraw := rng.Int()
 		want := baselines.LinearScanMST(data, &q, t1, t2, k)
 		trueTop := map[int64]bool{}
 		for _, w := range want {
 			trueTop[int64(w.TrajID)] = true
 		}
-		for _, r := range res {
-			if r.Certified && !trueTop[int64(r.TrajID)] {
-				t.Fatalf("iter %d: certified result %d not in true top-%d", iter, r.TrajID, k)
+
+		for _, leg := range searchLegs(data) {
+			_, full, err := Search(rt, &q, t1, t2, Options{K: k, Vmax: 120, Data: leg.data})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.NodesAccessed < 3 {
+				continue
+			}
+			budget := 1 + budgetDraw%(full.NodesAccessed-1)
+
+			res, st, err := Search(rt, &q, t1, t2, Options{
+				K: k, Vmax: 120, Data: leg.data, MaxNodeAccesses: budget,
+			})
+			if err != nil {
+				t.Fatalf("%s iter %d: budgeted search failed: %v", leg.name, iter, err)
+			}
+			if st.NodesAccessed > budget {
+				t.Fatalf("%s iter %d: budget %d exceeded: %d nodes", leg.name, iter, budget, st.NodesAccessed)
+			}
+			if !st.Degraded {
+				t.Fatalf("%s iter %d: budget %d < full %d but Degraded not set", leg.name, iter, budget, full.NodesAccessed)
+			}
+			for _, r := range res {
+				if r.Certified && !trueTop[int64(r.TrajID)] {
+					t.Fatalf("%s iter %d: certified result %d not in true top-%d", leg.name, iter, r.TrajID, k)
+				}
 			}
 		}
 	}
@@ -164,25 +166,20 @@ func TestSearchBudgetNotBindingIsExact(t *testing.T) {
 	q := queryFrom(rng, &data.Trajs[5], 10, 60)
 	k := 3
 
-	res, st, err := Search(rt, &q, 10, 60, Options{
-		K: k, Vmax: 120, Data: data, MaxNodeAccesses: rt.NumNodes() + 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Degraded {
-		t.Fatal("non-binding budget reported Degraded")
-	}
-	want := baselines.LinearScanMST(data, &q, 10, 60, k)
-	if len(res) != len(want) {
-		t.Fatalf("got %d results, want %d", len(res), len(want))
-	}
-	for i := range want {
-		if res[i].TrajID != want[i].TrajID {
-			t.Fatalf("rank %d: got %d, want %d", i, res[i].TrajID, want[i].TrajID)
+	for _, leg := range searchLegs(data) {
+		opts := Options{K: k, Vmax: 120, Data: leg.data, MaxNodeAccesses: rt.NumNodes() + 1}
+		res, st, err := Search(rt, &q, 10, 60, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !res[i].Certified {
-			t.Fatalf("complete search left result %d uncertified", res[i].TrajID)
+		if st.Degraded {
+			t.Fatalf("%s: non-binding budget reported Degraded", leg.name)
+		}
+		checkAnswer(t, leg.name, rt, data, &q, 10, 60, opts, res)
+		for _, r := range res {
+			if !r.Certified {
+				t.Fatalf("%s: complete search left result %d uncertified", leg.name, r.TrajID)
+			}
 		}
 	}
 }
@@ -225,5 +222,92 @@ func TestSearchIOBudgetDegrades(t *testing.T) {
 	// beyond the budget check, bounded by the node size in pages (1 here).
 	if got := bp2.Stats().Misses; got > budget+1 {
 		t.Fatalf("I/O budget %d exceeded: %d misses", budget, got)
+	}
+}
+
+// A leaf naming a trajectory the store cannot resolve is index/store
+// inconsistency: the store path must fail the search with the typed
+// corruption error, never answer without that trajectory.
+func TestStorePathUnknownTrajectory(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	data := makeDataset(rng, 30, 80)
+	rt := buildRTree(t, data, 1024)
+	q := queryFrom(rng, &data.Trajs[4], 10, 60)
+	// The query's source lies closest to it, so the first leaf the search
+	// decides names it.
+	rest := append(append([]trajectory.Trajectory{}, data.Trajs[:4]...), data.Trajs[5:]...)
+	store, err := trajectory.NewDataset(rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Search(rt, &q, 10, 60, Options{K: 3, Data: store}); !errors.Is(err, index.ErrCorruptNode) {
+		t.Fatalf("search over a store missing trajectory %d: err %v, want ErrCorruptNode", data.Trajs[4].ID, err)
+	}
+}
+
+// A budget-degraded paper search certifies a result only when no
+// trajectory outside the answer can displace it. Its floor (CertFloor)
+// must lie at or below the exact DISSIM of every covering trajectory it
+// did not return — unexplored, partially assembled, rejected or ranked
+// below the answer — and a Certified result must be a true top-k member.
+// Budgets at a quarter, half and three quarters of the full search's
+// nodes leave partial and rejected candidates behind; the test insists
+// that some degraded answers held non-members and some results were
+// certified, so both checks have something to catch.
+func TestPaperSearchDegradedCertification(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	data := makeDataset(rng, 80, 100)
+	rt := buildRTree(t, data, 1024)
+	var wrong, certified int
+	for iter := 0; iter < 40; iter++ {
+		src := &data.Trajs[rng.Intn(data.Len())]
+		t1 := rng.Float64() * 40
+		t2 := t1 + 20 + rng.Float64()*30
+		q := queryFrom(rng, src, t1, t2)
+		k := 1 + rng.Intn(5)
+		_, full, err := Search(rt, &q, t1, t2, Options{K: k, Vmax: 120})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := baselines.LinearScanMST(data, &q, t1, t2, data.Len())
+		trueTop := map[trajectory.ID]bool{}
+		for _, w := range all[:min(k, len(all))] {
+			trueTop[w.TrajID] = true
+		}
+		for _, frac := range []int{1, 2, 3} {
+			budget := 1 + frac*full.NodesAccessed/4
+			if budget >= full.NodesAccessed {
+				continue
+			}
+			res, st, err := Search(rt, &q, t1, t2, Options{K: k, Vmax: 120, MaxNodeAccesses: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Degraded {
+				t.Fatalf("iter %d: budget %d < full %d but Degraded not set", iter, budget, full.NodesAccessed)
+			}
+			returned := map[trajectory.ID]bool{}
+			for _, r := range res {
+				returned[r.TrajID] = true
+				if !trueTop[r.TrajID] {
+					wrong++
+				}
+				if r.Certified {
+					certified++
+					if !trueTop[r.TrajID] {
+						t.Fatalf("iter %d budget %d: certified result %d not in true top-%d", iter, budget, r.TrajID, k)
+					}
+				}
+			}
+			for _, a := range all {
+				if !returned[a.TrajID] && a.Dissim < st.CertFloor-1e-9*(1+a.Dissim) {
+					t.Fatalf("iter %d budget %d: traj %d not returned at exact %v below CertFloor %v",
+						iter, budget, a.TrajID, a.Dissim, st.CertFloor)
+				}
+			}
+		}
+	}
+	if wrong == 0 || certified == 0 {
+		t.Fatalf("degraded answers exercised nothing: %d non-members returned, %d results certified", wrong, certified)
 	}
 }

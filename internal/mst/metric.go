@@ -66,7 +66,7 @@ var ErrUnknownMetric = errors.New("mst: unknown metric")
 
 // ErrNoData reports a metric search attempted without a geometry source:
 // the metric tree stores no trajectory geometry, so Options.Data must
-// resolve member IDs for exact refinement.
+// resolve member IDs for exact evaluation.
 var ErrNoData = errors.New("mst: metric search requires Options.Data (the tree stores no geometry)")
 
 // ParseMetric inverts Metric.String (case-insensitively; the empty string
@@ -284,9 +284,8 @@ type leafMember struct {
 // Stats.Degraded and per-result certification against Stats.CertFloor,
 // ExcludeIDs and Trace behave identically, and Options.Data is REQUIRED —
 // the tree stores no geometry, so pivots and candidates are fetched from
-// the dataset. Options.Parallelism is accepted but a no-op: candidate
-// evaluation is already exact and ordered, so there is no refinement
-// stage to parallelize, and results are bit-identical at any setting.
+// the dataset. Candidate evaluation is already exact and ordered, so there
+// is no refinement stage.
 func MetricSearchContext(ctx context.Context, tree index.MetricTree, q *trajectory.Trajectory, t1, t2 float64, m Metric, eps float64, opts Options) ([]Result, Stats, error) {
 	opts.normalize()
 	if q == nil || !(t1 < t2) || !q.Covers(t1, t2) {

@@ -16,8 +16,6 @@ var (
 	metPruneH2      = obs.Default.Counter("mst.prune.heuristic2_terminations")
 	metTrapEvals    = obs.Default.Counter("mst.dissim.trapezoid_evals")
 	metExactEvals   = obs.Default.Counter("mst.dissim.exact_evals")
-	metRefineTasks  = obs.Default.Counter("mst.refine.tasks")
-	metRefineWork   = obs.Default.Counter("mst.refine.workers")
 	metDegraded     = obs.Default.Counter("mst.degraded")
 	metNodesPerQ    = obs.Default.Histogram("mst.nodes_per_query", obs.IOBounds)
 )

@@ -11,9 +11,13 @@
 //     every remaining node can be discarded, terminating the search.
 //
 // Error management (§4.4) is integrated throughout: every comparison uses
-// certified bounds (approximation ± Lemma 1 error), and an optional
-// post-processing step recomputes the exact DISSIM of the candidates whose
-// error intervals straddle the k-th boundary.
+// certified bounds (approximation ± Lemma 1 error).
+//
+// When the caller hands over the trajectory store (Options.Data), the
+// search extends the paper: each trajectory is decided by its exact DISSIM
+// the first time a leaf names it, instead of being assembled segment by
+// segment across leaves and recomputed in §4.4 post-processing. The
+// best-first order and Heuristic 2 stay the paper's.
 package mst
 
 import (
@@ -23,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"mstsearch/internal/debugassert"
 	"mstsearch/internal/dissim"
@@ -51,9 +54,12 @@ type Options struct {
 	// DisableHeuristic2 turns off MINDISSIMINC-based early termination
 	// (ablation).
 	DisableHeuristic2 bool
-	// Data, when non-nil, enables the §4.4 post-processing step: exact
-	// DISSIM recomputation for candidates whose error intervals overlap
-	// the k-th boundary.
+	// Data, when non-nil, is the trajectory store the indexed segments
+	// came from. The search then decides each trajectory exactly the first
+	// time a leaf names it: one covering the period completes at its exact
+	// DISSIM, one that does not is dropped for good. Results then carry
+	// Err = 0 and no trapezoid is evaluated. Without Data the search is the
+	// paper's, with certified trapezoid intervals.
 	Data *trajectory.Dataset
 	// ExcludeIDs are trajectories never reported (nor used to tighten
 	// bounds) — typically the query's own stored twin when searching "more
@@ -72,17 +78,9 @@ type Options struct {
 	// IOReads reports the physical reads attributed to this search so far —
 	// typically a closure over the query's buffer-pool miss counter.
 	IOReads func() uint64
-	// Parallelism bounds the worker goroutines of the §4.4 exact-refinement
-	// step: the independent exact-DISSIM integrals of the candidates
-	// selected for refinement are computed concurrently, while candidate
-	// selection and admission stay on the main goroutine. Workers only
-	// compute pure functions of immutable inputs and their values are
-	// applied in the serial order, so results, stats, and Certified flags
-	// are bit-identical to the serial search. Values <= 1 mean serial.
-	Parallelism int
 	// Trace, when non-nil, receives one typed TraceEvent per search step
 	// (node visits with MBB and MINDIST, candidate admissions and prunes
-	// with certified bounds, refinement progress, budget exhaustion),
+	// with certified bounds, budget exhaustion),
 	// synchronously from the searching goroutine. A nil hook costs one
 	// branch per step and allocates nothing. Tracing never changes what
 	// the search computes.
@@ -102,7 +100,7 @@ func (o *Options) normalize() {
 type Result struct {
 	TrajID trajectory.ID
 	// Dissim is the trajectory's dissimilarity from the query: exact when
-	// the post-processing step ran for it (Err == 0), otherwise the
+	// the search had the trajectory store (Err == 0), otherwise the
 	// trapezoid approximation with Err its certified bound.
 	Dissim float64
 	Err    float64
@@ -122,10 +120,10 @@ type Stats struct {
 	TotalNodes      int     // nodes in the tree
 	PruningPower    float64 // 1 − NodesAccessed/TotalNodes
 	Enqueued        int     // heap insertions
-	Completed       int     // candidates fully assembled
+	Completed       int     // candidates fully assembled or decided exactly
 	Rejected        int     // candidates pruned by Heuristic 1
 	TerminatedEarly bool    // Heuristic 2 fired before queue exhaustion
-	ExactRefined    int     // candidates recomputed exactly in post-processing
+	ExactRefined    int     // candidates decided by exact DISSIM from Options.Data
 	TrapezoidEvals  int     // Lemma 1 trapezoid interval evaluations
 	// Degraded reports that a budget (MaxNodeAccesses / MaxIOReads) ran out
 	// before the search could finish: the results are the best effort
@@ -226,6 +224,12 @@ type candidate struct {
 	inLeaf  bool // listed in searcher.touched for the leaf being swept
 }
 
+// outOfPlay is the placeholder every trajectory that can never be an
+// answer maps to in searcher.cands: the ExcludeIDs, and on the store path
+// the trajectories not covering the period. It is never live, so it never
+// counts toward τ, the certification floor or Heuristic 2.
+var outOfPlay = &candidate{state: stateRejected, hi: math.Inf(1)}
+
 // searcher carries one query's mutable state.
 type searcher struct {
 	ctx   context.Context
@@ -237,7 +241,7 @@ type searcher struct {
 	stats Stats
 
 	queue nodeQueue
-	cands map[trajectory.ID]*candidate // admitted candidates and ExcludeIDs placeholders
+	cands map[trajectory.ID]*candidate // admitted candidates and outOfPlay placeholders
 	live  []*candidate                 // admitted candidates, in admission order
 
 	// Scratch reused at every leaf and every τ refresh: the leaf's entries
@@ -301,7 +305,7 @@ func SearchContext(ctx context.Context, tree index.Tree, q *trajectory.Trajector
 	s.stats.TotalNodes = tree.NumNodes()
 	s.segTraj.Samples = s.segSamples[:]
 	for _, id := range opts.ExcludeIDs {
-		s.cands[id] = &candidate{id: id, state: stateRejected, hi: math.Inf(1)}
+		s.cands[id] = outOfPlay
 	}
 	defer func() { s.flushMetrics(s.heapPops) }()
 	if err := s.run(); err != nil {
@@ -392,7 +396,13 @@ func (s *searcher) run() error {
 		}
 		if n.Leaf {
 			s.stats.LeavesAccessed++
-			s.processLeaf(n, it.dist)
+			if s.opts.Data != nil {
+				if err := s.decideLeaf(n); err != nil {
+					return err
+				}
+			} else {
+				s.processLeaf(n, it.dist)
+			}
 			continue
 		}
 		for _, c := range n.Children {
@@ -470,6 +480,44 @@ func (s *searcher) processLeaf(n *index.Node, nodeDist float64) {
 }
 
 func byStartTime(a, b index.LeafEntry) int { return cmp.Compare(a.Seg.A.T, b.Seg.A.T) }
+
+// decideLeaf is the leaf step when the trajectory store is at hand. Each
+// trajectory is decided by its exact DISSIM over the period the first time
+// any leaf names it; later entries of a decided trajectory are skipped. One
+// covering the period completes with lo = hi = that value. One that does
+// not has no DISSIM (§3 Def. 1) and is put out of play. The decision never
+// rejects: Heuristic 2 against the k-th exact value does all the pruning.
+func (s *searcher) decideLeaf(n *index.Node) error {
+	for i := range n.Leaves {
+		e := &n.Leaves[i]
+		if e.Seg.B.T < s.t1 || e.Seg.A.T > s.t2 {
+			continue
+		}
+		if _, seen := s.cands[e.TrajID]; seen {
+			continue
+		}
+		tr := s.opts.Data.Get(e.TrajID)
+		if tr == nil {
+			// A leaf naming a trajectory the store cannot resolve is
+			// index/store inconsistency — the same class as a torn page.
+			return fmt.Errorf("%w: leaf references unknown trajectory %d", index.ErrCorruptNode, e.TrajID)
+		}
+		d, ok := dissim.Exact(s.q, tr, s.t1, s.t2)
+		if !ok {
+			s.cands[e.TrajID] = outOfPlay
+			continue
+		}
+		c := &candidate{id: e.TrajID, state: stateCompleted, lo: d, hi: d}
+		s.cands[c.id] = c
+		s.live = append(s.live, c)
+		s.stats.Completed++
+		s.stats.ExactRefined++
+		s.tauDirty = true
+		s.emit(TraceEvent{Kind: EventCandidateAdmit, TrajID: c.id, Lo: 0, Hi: math.Inf(1)})
+		s.emit(TraceEvent{Kind: EventCandidateComplete, TrajID: c.id, Lo: d, Hi: d, Exact: d})
+	}
+	return nil
+}
 
 // candidateFor fetches or creates the candidate list for a trajectory,
 // reporting whether it is already rejected (paper lines 12-13).
@@ -614,8 +662,7 @@ func (s *searcher) minDissimInc(nodeDist float64) float64 {
 	return m
 }
 
-// finalize ranks completed candidates, optionally refines the boundary
-// cases exactly (§4.4 post-processing), and returns the k best.
+// finalize ranks completed candidates and returns the k best.
 func (s *searcher) finalize() []Result {
 	done := make([]*candidate, 0, s.stats.Completed)
 	for _, c := range s.live {
@@ -630,28 +677,6 @@ func (s *searcher) finalize() []Result {
 	}
 
 	k := s.opts.K
-	if s.opts.Data != nil && len(done) > 0 {
-		// Exact refinement (§4.4 post-processing) for every candidate that
-		// could belong to the top k: anything whose certified lower bound
-		// does not exceed the k-th smallest upper bound. This covers both
-		// the returned results (their reported values become exact) and
-		// the boundary cases whose order the approximation error could
-		// scramble.
-		bIdx := k - 1
-		if bIdx >= len(done) {
-			bIdx = len(done) - 1
-		}
-		boundary := done[bIdx].hi
-		var toRefine []*candidate
-		for _, c := range done {
-			if c.lo <= boundary && c.err() > 0 {
-				toRefine = append(toRefine, c)
-			}
-		}
-		s.refineAll(toRefine)
-		slices.SortFunc(done, byEstimate)
-	}
-
 	returned, dropped := done, done[:0]
 	if len(done) > k {
 		returned, dropped = done[:k], done[k:]
@@ -710,96 +735,7 @@ func (s *searcher) certificationFloor(dropped []*candidate) float64 {
 }
 
 // midpoint is the candidate's point estimate: center of its certified
-// interval (equal to the exact value after refinement).
+// interval (the exact value itself on the store path).
 func (c *candidate) midpoint() float64 { return (c.lo + c.hi) / 2 }
 
 func (c *candidate) err() float64 { return (c.hi - c.lo) / 2 }
-
-// refineAll recomputes the exact DISSIM of the selected candidates
-// (§4.4 post-processing), serially or on a bounded worker pool
-// (Options.Parallelism). The parallel path keeps the serial semantics
-// bit-identical: each exact integral is an independent pure function of
-// the immutable query, dataset, and period, workers only compute, and the
-// main goroutine applies the values in the candidates' serial order — so
-// the refined intervals, ExactRefined count, and final ranking cannot
-// depend on goroutine scheduling.
-func (s *searcher) refineAll(cands []*candidate) {
-	if len(cands) == 0 {
-		return
-	}
-	workers := s.opts.Parallelism
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	s.emit(TraceEvent{Kind: EventRefineStart, Count: len(cands), Workers: workers})
-	metRefineTasks.Add(uint64(len(cands)))
-	metRefineWork.Add(uint64(workers))
-	defer func() {
-		s.emit(TraceEvent{Kind: EventRefineDone, Count: s.stats.ExactRefined, Workers: workers})
-	}()
-	if workers <= 1 {
-		for _, c := range cands {
-			s.refineExact(c)
-		}
-		return
-	}
-	type exactVal struct {
-		v  float64
-		ok bool
-	}
-	vals := make([]exactVal, len(cands))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if tr := s.opts.Data.Get(cands[i].id); tr != nil {
-					v, ok := dissim.Exact(s.q, tr, s.t1, s.t2)
-					vals[i] = exactVal{v: v, ok: ok}
-				}
-			}
-		}()
-	}
-	for i := range cands {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for i, c := range cands {
-		if vals[i].ok {
-			s.applyExact(c, vals[i].v)
-		}
-	}
-}
-
-// refineExact replaces the candidate's interval with the exact DISSIM.
-func (s *searcher) refineExact(c *candidate) {
-	tr := s.opts.Data.Get(c.id)
-	if tr == nil {
-		return
-	}
-	if v, ok := dissim.Exact(s.q, tr, s.t1, s.t2); ok {
-		s.applyExact(c, v)
-	}
-}
-
-// applyExact collapses the candidate's certified interval onto the exact
-// value v — the single admission point of both refinement paths.
-func (s *searcher) applyExact(c *candidate, v float64) {
-	if debugassert.Enabled {
-		// The exact DISSIM must fall inside the interval the search
-		// certified for the candidate (lower <= exact <= upper).
-		slack := 1e-7 * (1 + math.Abs(v))
-		debugassert.Assertf(c.lo-slack <= v && v <= c.hi+slack,
-			"exact DISSIM %v of candidate %d outside certified interval [%v, %v]",
-			v, c.id, c.lo, c.hi)
-	}
-	c.lo, c.hi = v, v
-	s.stats.ExactRefined++
-	s.emit(TraceEvent{Kind: EventRefined, TrajID: c.id, Lo: v, Hi: v, Exact: v})
-}

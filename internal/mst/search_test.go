@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -91,9 +92,88 @@ func queryFrom(rng *rand.Rand, src *trajectory.Trajectory, t1, t2 float64) traje
 	return q
 }
 
-// TestSearchMatchesLinearScan is the central integration property: on both
-// tree types, BFMSTSearch with exact refinement returns exactly the
-// trajectories the exact brute-force scan ranks first.
+// searchLeg is one of the two MBB searches every result property is
+// checked on: the store path (Options.Data set, each trajectory decided
+// exactly on first sight) and the paper's trapezoid search (no Data,
+// certified intervals, §4.4 error management).
+type searchLeg struct {
+	name string
+	data *trajectory.Dataset
+}
+
+func searchLegs(data *trajectory.Dataset) []searchLeg {
+	return []searchLeg{{"store", data}, {"paper", nil}}
+}
+
+// checkAnswer checks a complete (unbudgeted) k-MST answer against the
+// exact linear scan. On the store path the answer must be the scan's, in
+// order, at its distances. On the paper's path each result's certified
+// interval must contain its exact DISSIM, and a result may stand in for a
+// true top-k member only within the two intervals' errors: a returned r
+// outranks a missing t only if mid(r) ≤ mid(t), so exact(r) ≤ exact(t) +
+// Err(r) + Err(t) ≤ k-th exact + Err(r) + max Err over the true top k. A
+// member's Err comes from a reference run that completes every trajectory
+// (both heuristics off, k = all).
+func checkAnswer(tb testing.TB, label string, tree index.Tree, data *trajectory.Dataset,
+	q *trajectory.Trajectory, t1, t2 float64, opts Options, got []Result) {
+	tb.Helper()
+	all := baselines.LinearScanMST(data, q, t1, t2, data.Len())
+	want := all
+	if len(want) > opts.K {
+		want = want[:opts.K]
+	}
+	if len(got) != len(want) {
+		tb.Fatalf("%s: got %d results, want %d", label, len(got), len(want))
+	}
+	if opts.Data != nil {
+		for i := range want {
+			if got[i].TrajID != want[i].TrajID || got[i].Dissim != want[i].Dissim || got[i].Err != 0 {
+				tb.Fatalf("%s k=%d: rank %d = traj %d (%v±%v), want traj %d (%v)",
+					label, opts.K, i, got[i].TrajID, got[i].Dissim, got[i].Err,
+					want[i].TrajID, want[i].Dissim)
+			}
+		}
+		return
+	}
+	ref, _, err := Search(tree, q, t1, t2, Options{
+		K: data.Len(), Refine: opts.Refine, DisableHeuristic1: true, DisableHeuristic2: true,
+	})
+	if err != nil {
+		tb.Fatalf("%s: reference run: %v", label, err)
+	}
+	refErr := make(map[trajectory.ID]float64, len(ref))
+	for _, r := range ref {
+		refErr[r.TrajID] = r.Err
+	}
+	exact := make(map[trajectory.ID]float64, len(all))
+	for _, a := range all {
+		exact[a.TrajID] = a.Dissim
+	}
+	var kth, topErr float64
+	for _, w := range want {
+		kth = w.Dissim
+		topErr = math.Max(topErr, refErr[w.TrajID])
+	}
+	for i, r := range got {
+		d, ok := exact[r.TrajID]
+		if !ok {
+			tb.Fatalf("%s: rank %d traj %d does not cover [%v, %v]", label, i, r.TrajID, t1, t2)
+		}
+		slack := 1e-9 * (1 + math.Abs(d))
+		if math.Abs(d-r.Dissim) > r.Err+slack {
+			tb.Fatalf("%s: rank %d traj %d exact %v outside certified %v±%v", label, i, r.TrajID, d, r.Dissim, r.Err)
+		}
+		if d > kth+r.Err+topErr+slack {
+			tb.Fatalf("%s: rank %d traj %d exact %v beyond k-th %v + errors %v + %v",
+				label, i, r.TrajID, d, kth, r.Err, topErr)
+		}
+	}
+}
+
+// TestSearchMatchesLinearScan is the central integration property: on
+// every MBB tree, BFMSTSearch returns what the exact brute-force scan
+// ranks first — exactly on the store path, within the certified error on
+// the paper's.
 func TestSearchMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	data := makeDataset(rng, 60, 100)
@@ -109,33 +189,19 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 		t2 := t1 + 10 + rng.Float64()*40
 		q := queryFrom(rng, src, t1, t2)
 		k := 1 + rng.Intn(5)
-		want := baselines.LinearScanMST(data, &q, t1, t2, k)
 
 		for name, tree := range trees {
-			got, stats, err := Search(tree, &q, t1, t2, Options{
-				K:    k,
-				Vmax: vmax + q.MaxSpeed(),
-				Data: data,
-			})
-			if err != nil {
-				t.Fatalf("%s iter %d: %v", name, iter, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s iter %d: got %d results, want %d", name, iter, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].TrajID != want[i].TrajID {
-					t.Fatalf("%s iter %d k=%d: rank %d = traj %d (%.6f), want traj %d (%.6f)",
-						name, iter, k, i, got[i].TrajID, got[i].Dissim,
-						want[i].TrajID, want[i].Dissim)
+			for _, leg := range searchLegs(data) {
+				opts := Options{K: k, Vmax: vmax + q.MaxSpeed(), Data: leg.data}
+				got, stats, err := Search(tree, &q, t1, t2, opts)
+				label := fmt.Sprintf("%s/%s iter %d", name, leg.name, iter)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				if math.Abs(got[i].Dissim-want[i].Dissim) > 1e-6*math.Max(1, want[i].Dissim)+got[i].Err {
-					t.Fatalf("%s iter %d: rank %d dissim %v±%v, want %v",
-						name, iter, i, got[i].Dissim, got[i].Err, want[i].Dissim)
+				checkAnswer(t, label, tree, data, &q, t1, t2, opts, got)
+				if stats.NodesAccessed == 0 || stats.TotalNodes == 0 {
+					t.Fatalf("%s: missing stats: %+v", label, stats)
 				}
-			}
-			if stats.NodesAccessed == 0 || stats.TotalNodes == 0 {
-				t.Fatalf("%s iter %d: missing stats: %+v", name, iter, stats)
 			}
 		}
 	}
@@ -171,6 +237,9 @@ func TestSearchWithoutRefinementBrackets(t *testing.T) {
 }
 
 // Heuristics must never change the result set, only the work performed.
+// On the paper's path every variant's answer is also checked against the
+// exact scan within its certified error (Refine changes the intervals, so
+// it may reorder near-ties there).
 func TestHeuristicsPreserveResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	data := makeDataset(rng, 50, 60)
@@ -179,34 +248,37 @@ func TestHeuristicsPreserveResults(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
 		src := &data.Trajs[rng.Intn(data.Len())]
 		q := queryFrom(rng, src, 10, 50)
-		base, baseStats, err := Search(rt, &q, 10, 50, Options{K: 2, Vmax: vmax, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, opt := range []Options{
-			{K: 2, Vmax: vmax, Data: data, DisableHeuristic1: true},
-			{K: 2, Vmax: vmax, Data: data, DisableHeuristic2: true},
-			{K: 2, Vmax: vmax, Data: data, DisableHeuristic1: true, DisableHeuristic2: true},
-			{K: 2, Vmax: 0, Data: data},               // speed-independent only
-			{K: 2, Vmax: vmax, Data: data, Refine: 8}, // tighter trapezoid bounds
-		} {
-			got, stats, err := Search(rt, &q, 10, 50, opt)
+		for _, leg := range searchLegs(data) {
+			base, baseStats, err := Search(rt, &q, 10, 50, Options{K: 2, Vmax: vmax, Data: leg.data})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(base) {
-				t.Fatalf("iter %d opts %+v: %d results vs %d", iter, opt, len(got), len(base))
-			}
-			for i := range base {
-				if got[i].TrajID != base[i].TrajID {
-					t.Fatalf("iter %d opts %+v: rank %d differs", iter, opt, i)
+			for _, opt := range []Options{
+				{K: 2, Vmax: vmax, Data: leg.data, DisableHeuristic1: true},
+				{K: 2, Vmax: vmax, Data: leg.data, DisableHeuristic2: true},
+				{K: 2, Vmax: vmax, Data: leg.data, DisableHeuristic1: true, DisableHeuristic2: true},
+				{K: 2, Vmax: 0, Data: leg.data},               // speed-independent only
+				{K: 2, Vmax: vmax, Data: leg.data, Refine: 8}, // tighter trapezoid bounds
+			} {
+				got, stats, err := Search(rt, &q, 10, 50, opt)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			// Disabling both heuristics must not access fewer nodes.
-			if opt.DisableHeuristic1 && opt.DisableHeuristic2 &&
-				stats.NodesAccessed < baseStats.NodesAccessed {
-				t.Fatalf("iter %d: heuristics increased node accesses (%d vs %d)",
-					iter, baseStats.NodesAccessed, stats.NodesAccessed)
+				label := fmt.Sprintf("%s iter %d opts %+v", leg.name, iter, opt)
+				checkAnswer(t, label, rt, data, &q, 10, 50, opt, got)
+				if opt.Refine <= 1 {
+					for i := range base {
+						if got[i].TrajID != base[i].TrajID {
+							t.Fatalf("%s: rank %d differs", label, i)
+						}
+					}
+				}
+				// Disabling both heuristics must not access fewer nodes.
+				if opt.DisableHeuristic1 && opt.DisableHeuristic2 &&
+					stats.NodesAccessed < baseStats.NodesAccessed {
+					t.Fatalf("%s: heuristics increased node accesses (%d vs %d)",
+						label, baseStats.NodesAccessed, stats.NodesAccessed)
+				}
 			}
 		}
 	}
@@ -218,15 +290,17 @@ func TestHeuristic2Terminates(t *testing.T) {
 	rt := buildRTree(t, data, 1024)
 	src := &data.Trajs[0]
 	q := queryFrom(rng, src, 10, 50)
-	_, stats, err := Search(rt, &q, 10, 50, Options{K: 1, Vmax: data.MaxSpeed() + 10, Data: data})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.TerminatedEarly {
-		t.Fatalf("expected early termination on a 120-object dataset: %+v", stats)
-	}
-	if stats.PruningPower <= 0 {
-		t.Fatalf("expected positive pruning power: %+v", stats)
+	for _, leg := range searchLegs(data) {
+		_, stats, err := Search(rt, &q, 10, 50, Options{K: 1, Vmax: data.MaxSpeed() + 10, Data: leg.data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.TerminatedEarly {
+			t.Fatalf("%s: expected early termination on a 120-object dataset: %+v", leg.name, stats)
+		}
+		if stats.PruningPower <= 0 {
+			t.Fatalf("%s: expected positive pruning power: %+v", leg.name, stats)
+		}
 	}
 }
 
@@ -387,64 +461,6 @@ func TestSearchOnBulkLoadedTree(t *testing.T) {
 		}
 		if stats.PruningPower <= 0 {
 			t.Fatalf("iter %d: no pruning on bulk tree: %+v", iter, stats)
-		}
-	}
-}
-
-// TestParallelRefinementDeterminism pins the Options.Parallelism contract
-// at the algorithm layer: for the same query, a search whose exact
-// refinement runs on a worker pool must return results bit-identical to
-// the serial search — same IDs, same float bits, same Certified flags —
-// and identical admission statistics. Workers only compute DISSIM
-// integrals; the admission order stays sequential, so no interleaving can
-// change what is accepted.
-func TestParallelRefinementDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	data := makeDataset(rng, 60, 100)
-	vmax := data.MaxSpeed()
-	trees := map[string]index.Tree{
-		"rtree":   buildRTree(t, data, 1024),
-		"tbtree":  buildTBTree(t, data, 1024),
-		"strtree": buildSTRTree(t, data, 1024),
-	}
-	for iter := 0; iter < 15; iter++ {
-		src := &data.Trajs[rng.Intn(data.Len())]
-		t1 := rng.Float64() * 50
-		t2 := t1 + 10 + rng.Float64()*40
-		q := queryFrom(rng, src, t1, t2)
-		k := 1 + rng.Intn(6)
-		for name, tree := range trees {
-			base := Options{K: k, Vmax: vmax + q.MaxSpeed(), Data: data}
-			serOpts, parOpts := base, base
-			serOpts.Parallelism = 1
-			parOpts.Parallelism = 4
-			ser, serStats, err := Search(tree, &q, t1, t2, serOpts)
-			if err != nil {
-				t.Fatalf("%s iter %d serial: %v", name, iter, err)
-			}
-			par, parStats, err := Search(tree, &q, t1, t2, parOpts)
-			if err != nil {
-				t.Fatalf("%s iter %d parallel: %v", name, iter, err)
-			}
-			if len(ser) != len(par) {
-				t.Fatalf("%s iter %d: serial %d results, parallel %d", name, iter, len(ser), len(par))
-			}
-			for i := range ser {
-				if ser[i].TrajID != par[i].TrajID ||
-					math.Float64bits(ser[i].Dissim) != math.Float64bits(par[i].Dissim) ||
-					math.Float64bits(ser[i].Err) != math.Float64bits(par[i].Err) ||
-					ser[i].Certified != par[i].Certified {
-					t.Fatalf("%s iter %d rank %d: serial %+v != parallel %+v",
-						name, iter, i, ser[i], par[i])
-				}
-			}
-			if serStats != parStats {
-				t.Fatalf("%s iter %d: stats diverged:\nserial   %+v\nparallel %+v",
-					name, iter, serStats, parStats)
-			}
-			if serStats.ExactRefined == 0 && iter == 0 {
-				t.Logf("%s iter %d: no candidate needed refinement", name, iter)
-			}
 		}
 	}
 }

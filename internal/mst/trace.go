@@ -24,7 +24,10 @@ const (
 	// entered the candidate set (TrajID).
 	EventCandidateAdmit
 	// EventCandidateComplete: a candidate's interval list covers the whole
-	// query period; Lo/Hi carry its certified DISSIM interval.
+	// query period; Lo/Hi carry its certified DISSIM interval. A search
+	// that decides candidates exactly (one with Options.Data, and every
+	// metric search) sets Lo = Hi = Exact, the exact distance, and emits
+	// one per exact decision: their number equals Stats.ExactRefined.
 	EventCandidateComplete
 	// EventCandidatePrune: Heuristic 1 evicted a candidate — its certified
 	// lower bound Lo exceeded the k-th best upper bound Threshold
@@ -37,15 +40,6 @@ const (
 	// EventBudgetExhausted: a resource budget ran out (Budget names it);
 	// the search degrades to best-effort results.
 	EventBudgetExhausted
-	// EventRefineStart: the §4.4 exact-refinement step begins; Count
-	// candidates on Workers workers.
-	EventRefineStart
-	// EventRefined: one candidate's certified interval collapsed onto its
-	// exact DISSIM (TrajID, Exact). The number of these events equals
-	// Stats.ExactRefined.
-	EventRefined
-	// EventRefineDone: the refinement step finished (Count refined).
-	EventRefineDone
 	// EventShardScatter: a scatter-gather coordinator (internal/shard)
 	// dispatched the query to one shard (Shard, MinDist = the shard's
 	// certified lower bound). Emitted by the cluster layer, never by a
@@ -85,12 +79,6 @@ func (k EventKind) String() string {
 		return "early-terminate"
 	case EventBudgetExhausted:
 		return "budget-exhausted"
-	case EventRefineStart:
-		return "refine-start"
-	case EventRefined:
-		return "refined"
-	case EventRefineDone:
-		return "refine-done"
 	case EventShardScatter:
 		return "shard-scatter"
 	case EventShardPrune:
@@ -120,12 +108,13 @@ type TraceEvent struct {
 	// MinDist is the node's MINDIST from the query over the period.
 	MinDist float64
 
-	// Candidate fields (EventCandidate*, EventRefined).
+	// Candidate fields (EventCandidate*).
 	TrajID trajectory.ID
 	// Lo, Hi bound the candidate's certified DISSIM interval at the time
 	// of the event; for EventEarlyTerminate Lo carries MINDISSIMINC.
 	Lo, Hi float64
-	// Exact is the refined DISSIM (EventRefined).
+	// Exact is the exact distance of an exactly decided candidate
+	// (EventCandidateComplete).
 	Exact float64
 
 	// Decision fields.
@@ -139,11 +128,6 @@ type TraceEvent struct {
 	// or "io".
 	Budget string
 
-	// Count and Workers size the refinement step (EventRefineStart,
-	// EventRefineDone).
-	Count   int
-	Workers int
-
 	// Shard is the shard index on cluster-level events (EventShardScatter,
 	// EventShardPrune, EventReplica*); MinDist then carries the shard's
 	// certified lower bound and Threshold the global k-th pessimistic
@@ -153,6 +137,7 @@ type TraceEvent struct {
 	// now serving) and EventReplicaRepair (the replica re-seeded); Count
 	// then carries the other replica of the hand-off.
 	Replica int
+	Count   int
 }
 
 // emit delivers one event to the trace hook when tracing is on. The hook

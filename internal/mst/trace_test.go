@@ -28,7 +28,11 @@ func collectEvents(t *testing.T, opts Options, data *trajectory.Dataset, tr *rtr
 
 // TestTraceContract is the reconciliation gate between the event stream
 // and the search statistics: every counter in Stats must be derivable
-// from the trace, so the two views of a query can never drift apart.
+// from the trace, so the two views of a query can never drift apart. The
+// store path (Options.Data) follows the metric searcher's rule: every
+// admitted candidate ends in exactly one complete event carrying its exact
+// value, complete events equal both Completed and ExactRefined, and
+// nothing is rejected.
 func TestTraceContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	data := makeDataset(rng, 40, 100)
@@ -50,6 +54,7 @@ func TestTraceContract(t *testing.T) {
 			count := map[EventKind]int{}
 			leaves := 0
 			admitted := map[trajectory.ID]bool{}
+			completed := map[trajectory.ID]int{}
 			for _, ev := range events {
 				count[ev.Kind]++
 				switch ev.Kind {
@@ -59,6 +64,11 @@ func TestTraceContract(t *testing.T) {
 					}
 				case EventCandidateAdmit:
 					admitted[ev.TrajID] = true
+				case EventCandidateComplete:
+					completed[ev.TrajID]++
+					if tc.opts.Data != nil && (ev.Lo != ev.Exact || ev.Hi != ev.Exact) {
+						t.Errorf("store-path complete event for %d carries [%v, %v], exact %v", ev.TrajID, ev.Lo, ev.Hi, ev.Exact)
+					}
 				case EventCandidatePrune:
 					if ev.Heuristic != 1 {
 						t.Errorf("prune event blames heuristic %d, want 1", ev.Heuristic)
@@ -85,18 +95,26 @@ func TestTraceContract(t *testing.T) {
 			if got := count[EventCandidateComplete]; got != st.Completed {
 				t.Errorf("candidate-complete events %d != Completed %d", got, st.Completed)
 			}
-			if got := count[EventRefined]; got != st.ExactRefined {
-				t.Errorf("refined events %d != ExactRefined %d", got, st.ExactRefined)
-			}
 			if st.TerminatedEarly && count[EventEarlyTerminate] != 1 {
 				t.Errorf("early-terminated search emitted %d early-terminate events, want 1", count[EventEarlyTerminate])
 			}
 			if st.Degraded && count[EventBudgetExhausted] != 1 {
 				t.Errorf("degraded search emitted %d budget-exhausted events, want 1", count[EventBudgetExhausted])
 			}
-			if st.ExactRefined > 0 && (count[EventRefineStart] != 1 || count[EventRefineDone] != 1) {
-				t.Errorf("refinement ran but start/done events = %d/%d, want 1/1",
-					count[EventRefineStart], count[EventRefineDone])
+			if tc.opts.Data != nil {
+				for id := range admitted {
+					if completed[id] != 1 {
+						t.Errorf("store path: admitted candidate %d completed %d times, want 1", id, completed[id])
+					}
+				}
+				if got := count[EventCandidateComplete]; got != st.ExactRefined {
+					t.Errorf("store path: complete events %d != ExactRefined %d", got, st.ExactRefined)
+				}
+				if st.Rejected != 0 || st.ExactRefined == 0 {
+					t.Errorf("store path: Rejected %d, ExactRefined %d; want 0 and > 0", st.Rejected, st.ExactRefined)
+				}
+			} else if st.ExactRefined != 0 {
+				t.Errorf("paper path evaluated %d candidates exactly", st.ExactRefined)
 			}
 			for _, r := range res {
 				if !admitted[r.TrajID] {
@@ -255,9 +273,6 @@ func TestEventKindString(t *testing.T) {
 		EventCandidatePrune:    "candidate-prune",
 		EventEarlyTerminate:    "early-terminate",
 		EventBudgetExhausted:   "budget-exhausted",
-		EventRefineStart:       "refine-start",
-		EventRefined:           "refined",
-		EventRefineDone:        "refine-done",
 	}
 	for k, s := range want {
 		if k.String() != s {

@@ -69,8 +69,8 @@ type Config struct {
 	CoalesceWindow time.Duration
 	CoalesceMax    int
 
-	// Parallelism is handed to the query engine (batch worker pool and
-	// §4.4 refinement workers). <= 0 means GOMAXPROCS.
+	// Parallelism sizes the query engine's batch worker pool. <= 0 means
+	// GOMAXPROCS.
 	Parallelism int
 
 	// MaxBodyBytes bounds request bodies (default 8 MiB).

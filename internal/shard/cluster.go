@@ -12,7 +12,7 @@
 // the shards'. A shard's root-MBB lower bound holds for every trajectory
 // it stores; a shard is skipped only when that bound strictly exceeds the
 // global k-th pessimistic bound over already-collected results (or is
-// +Inf — provably no covering trajectory). Under exact refinement
+// +Inf — provably no covering trajectory). With exact decisions
 // (Options.ExactRefine, the default), merged results, order, and Certified
 // flags are bit-identical to running the same query on one DB holding all
 // trajectories — the property the differential suite enforces at every

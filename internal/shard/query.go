@@ -34,8 +34,8 @@ type QueryStats struct {
 	Hedges    int
 }
 
-// Query answers one k-MST request against the whole cluster. Under exact
-// refinement (Options.ExactRefine) the merged results, their order, and
+// Query answers one k-MST request against the whole cluster. With exact
+// decisions (Options.ExactRefine) the merged results, their order, and
 // their Certified flags are bit-identical to the same Request on a single
 // DB holding every trajectory; shard pruning and gather short-circuiting
 // are pure optimizations that never change the answer. A caller-supplied

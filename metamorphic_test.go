@@ -1,6 +1,8 @@
 package mstsearch
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,6 +44,49 @@ func TestMetamorphicKPrefix(t *testing.T) {
 						want = want[:kSmall]
 					}
 					checkBitIdentical(t, "k-prefix", iter, want, pre)
+				}
+			}
+		})
+	}
+}
+
+// TestMetamorphicLifespanNonCovering: a trajectory that does not cover the
+// query window has no DISSIM over it (§3 Def. 1), so adding any number of
+// them never changes the answer. For each request of the heterogeneous-
+// lifespan workload, the GSTD fleet alone and the fleet plus every
+// near-twin not covering the request's window must answer bit-identically
+// at every k from 1 to 8.
+func TestMetamorphicLifespanNonCovering(t *testing.T) {
+	trajs, reqs := lifespanWorkload(10)
+	const fleet = 40 // the GSTD members lead the workload
+	for _, kind := range IndexKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			base, err := NewDB(kind, trajs[:fleet])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, req := range reqs {
+				with := append([]Trajectory{}, trajs[:fleet]...)
+				for _, tr := range trajs[fleet:] {
+					if !tr.Covers(req.Interval.T1, req.Interval.T2) {
+						with = append(with, tr)
+					}
+				}
+				db, err := NewDB(kind, with)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := 1; k <= 8; k++ {
+					req.K, req.Options = k, DefaultOptions()
+					want, err := base.Query(context.Background(), req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := db.Query(context.Background(), req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkBitIdentical(t, fmt.Sprintf("k=%d non-covering added", k), i, want.Results, got.Results)
 				}
 			}
 		})

@@ -54,7 +54,8 @@ type (
 type Result struct {
 	TrajID ID
 	// Dissim is the DISSIM value; Err is its certified error bound
-	// (0 when the exact post-refinement ran).
+	// (0 when the search decided it exactly: ExactRefine, or a metric
+	// index).
 	Dissim float64
 	Err    float64
 	// Certified reports whether the result is provably a member of the
@@ -79,7 +80,7 @@ type SearchStats struct {
 	Retries         uint64 // page reads retried after transient faults
 	Evictions       uint64 // buffer frames evicted during the query
 	TrapezoidEvals  int    // Lemma 1 trapezoid interval evaluations
-	ExactRefined    int    // candidates recomputed exactly (§4.4)
+	ExactRefined    int    // candidates decided by exact DISSIM from the trajectory store
 	TerminatedEarly bool
 	// Degraded reports that a budget (MaxNodeAccesses / MaxIOReads) ran
 	// out mid-search: the results are the best effort assembled within the
@@ -98,15 +99,20 @@ type SearchStats struct {
 
 // Options tunes a search beyond the defaults; the zero value is sensible.
 type Options struct {
-	// ExactRefine recomputes exact DISSIM for result candidates whose
-	// error intervals overlap (default true via DB.KMostSimilar).
+	// ExactRefine hands the search the trajectory store, so that an MBB
+	// index decides each trajectory by its exact DISSIM the first time a
+	// leaf names it and returns exact distances (Err = 0). Off, the search
+	// is the paper's trapezoid search and distances carry their certified
+	// error. On by default (DefaultOptions); metric indexes always search
+	// exactly.
 	ExactRefine bool
 	// DisableHeuristic1 / DisableHeuristic2 switch off the paper's pruning
 	// heuristics — useful only for measurement.
 	DisableHeuristic1 bool
 	DisableHeuristic2 bool
 	// Refine subdivides each sampling interval for a tighter trapezoid
-	// bound (1 = the paper's Lemma 1).
+	// bound (1 = the paper's Lemma 1). With ExactRefine on no trapezoid
+	// is evaluated, so it has no effect.
 	Refine int
 	// ExcludeIDs are trajectories never reported — typically the query's
 	// own stored twin in "more like this one" searches.
@@ -121,18 +127,15 @@ type Options struct {
 	// The count is the delta on the DB's shared pool since the query
 	// began, so misses of concurrent queries count against it too.
 	MaxIOReads uint64
-	// Parallelism tunes the concurrency of the query engine: it caps the
-	// worker goroutines a KMostSimilarBatch call executes queries on, and
-	// the workers a single query uses for its exact-refinement step
-	// (§4.4), whose independent DISSIM integrals dominate refinement-heavy
-	// queries. 0 or 1 runs a single query serially; a batch treats <= 0 as
-	// GOMAXPROCS. Parallel and serial runs return bit-identical results —
-	// workers only compute, admission stays sequential.
+	// Parallelism caps the worker goroutines a KMostSimilarBatch call
+	// executes queries on; <= 0 means GOMAXPROCS. A single query always
+	// runs on the calling goroutine. Every slot's answer is bit-identical
+	// to the same query run alone.
 	Parallelism int
 	// Trace, when non-nil, receives one typed TraceEvent per search step —
 	// node visits with MBB and MINDIST, candidate admissions/completions,
 	// prune decisions with the responsible heuristic and the threshold it
-	// compared against, refinement progress, budget exhaustion — delivered
+	// compared against, budget exhaustion — delivered
 	// synchronously from the searching goroutine. It is the building block
 	// for slow-query forensics and DB.Explain. A nil hook costs one
 	// predictable branch per step and allocates nothing; tracing never
@@ -161,9 +164,6 @@ const (
 	EventCandidatePrune    = mst.EventCandidatePrune
 	EventEarlyTerminate    = mst.EventEarlyTerminate
 	EventBudgetExhausted   = mst.EventBudgetExhausted
-	EventRefineStart       = mst.EventRefineStart
-	EventRefined           = mst.EventRefined
-	EventRefineDone        = mst.EventRefineDone
 	EventShardScatter      = mst.EventShardScatter
 	EventShardPrune        = mst.EventShardPrune
 	EventReplicaFailover   = mst.EventReplicaFailover
@@ -658,7 +658,6 @@ func (db *DB) kMostSimilar(ctx context.Context, q *Trajectory, t1, t2 float64, k
 		ExcludeIDs:        o.ExcludeIDs,
 		MaxNodeAccesses:   o.MaxNodeAccesses,
 		MaxIOReads:        o.MaxIOReads,
-		Parallelism:       o.Parallelism,
 		Trace:             o.Trace,
 	}
 	if o.MaxIOReads > 0 {

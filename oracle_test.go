@@ -2,6 +2,7 @@ package mstsearch
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,18 +10,20 @@ import (
 	"mstsearch/internal/gstd"
 )
 
-// The differential oracle: every index-based k-MST answer — over all three
-// index kinds, serial and parallel, single-query and batch — must match a
-// brute-force exact-DISSIM scan of the raw trajectory slice. The scan
-// (linearTopK) touches no index, no buffer pool, and no concurrency, so an
-// agreement here certifies the whole query stack at once.
+// The differential oracle: every index-based k-MST answer — over every
+// index kind, single-query and batch — must match a brute-force
+// exact-DISSIM scan of the raw trajectory slice. The scan (linearTopK)
+// touches no index, no buffer pool, and no concurrency, so an agreement
+// here certifies the whole query stack at once.
 //
 // Tolerances: result membership and ordering must be identical. Distances
-// must agree within the result's own certified error band (Lemma 1 gives
-// Err = 0 after exact refinement, so in practice this is a floating-point
-// epsilon). Serial and parallel runs of the *same* query must be
-// bit-identical — same IDs, same float bits, same Certified flags — per
-// the Options.Parallelism contract.
+// must agree within the result's own certified error band; with the
+// default options every index evaluates its answers exactly (Err = 0), so
+// in practice this is a floating-point epsilon, and the heterogeneous-
+// lifespan oracle demands the oracle's bits. Two runs of the *same* query
+// — alone, through another entry point, or as a slot of a batch on many
+// workers — must be bit-identical: same IDs, same float bits, same
+// Certified flags.
 
 // oracleQuery builds a seeded random-walk query trajectory spanning the
 // GSTD time domain [0, 1] inside the unit workspace.
@@ -172,6 +175,74 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 }
 
+// TestDifferentialOraclePaperPath is the oracle's leg for the paper's
+// trapezoid search: ExactRefine off, so an MBB index assembles candidates
+// segment by segment and reports certified intervals. Each result's
+// interval must contain its exact DISSIM, and a result may stand in for a
+// true top-k member only within their two errors — r outranks a missing t
+// only if mid(r) ≤ mid(t), so exact(r) ≤ k-th exact + Err(r) + the largest
+// Err over the true top k. Members' errors come from a reference query
+// that completes every trajectory (both heuristics off, k = all). The
+// metric index searches exactly either way and must match the oracle.
+func TestDifferentialOraclePaperPath(t *testing.T) {
+	trajs := gstd.Generate(gstd.Config{NumObjects: 48, SamplesPerObject: 81, Seed: 2}).Trajs
+	for _, kind := range IndexKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			db, err := NewDB(kind, trajs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(500 + int64(kind)))
+			for i := 0; i < 24; i++ {
+				q := oracleQuery(rng, 61)
+				t1, t2 := oracleWindow(rng)
+				k := 1 + rng.Intn(5)
+				iv := Interval{T1: t1, T2: t2}
+				resp, err := db.Query(context.Background(), Request{Q: q, Interval: iv, K: k, Options: Options{Refine: 1}})
+				if err != nil {
+					t.Fatalf("iter %d: %v", i, err)
+				}
+				ref, err := db.Query(context.Background(), Request{Q: q, Interval: iv, K: len(trajs),
+					Options: Options{Refine: 1, DisableHeuristic1: true, DisableHeuristic2: true}})
+				if err != nil {
+					t.Fatalf("iter %d reference: %v", i, err)
+				}
+				refErr := map[ID]float64{}
+				for _, r := range ref.Results {
+					refErr[r.TrajID] = r.Err
+				}
+				all := linearTopK(trajs, q, t1, t2, len(trajs))
+				exact := map[ID]float64{}
+				for _, a := range all {
+					exact[a.id] = a.d
+				}
+				want := all[:min(k, len(all))]
+				var kth, topErr float64
+				for _, w := range want {
+					kth, topErr = w.d, math.Max(topErr, refErr[w.id])
+				}
+				if len(resp.Results) != len(want) {
+					t.Fatalf("iter %d: got %d results, oracle %d", i, len(resp.Results), len(want))
+				}
+				for j, r := range resp.Results {
+					d, ok := exact[r.TrajID]
+					slack := 1e-9 * (1 + math.Abs(d))
+					switch {
+					case !ok:
+						t.Fatalf("iter %d: rank %d traj %d does not cover the window", i, j, r.TrajID)
+					case math.Abs(d-r.Dissim) > r.Err+slack:
+						t.Fatalf("iter %d: rank %d traj %d exact %v outside certified %v±%v", i, j, r.TrajID, d, r.Dissim, r.Err)
+					case d > kth+r.Err+topErr+slack:
+						t.Fatalf("iter %d: rank %d traj %d exact %v beyond k-th %v + errors %v + %v", i, j, r.TrajID, d, kth, r.Err, topErr)
+					case !r.Certified:
+						t.Fatalf("iter %d: unbudgeted search left result %d uncertified", i, r.TrajID)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestOracleSelfQuery pins the identity case across kinds: querying with a
 // stored trajectory over the full window must rank its twin first at
 // DISSIM ≈ 0.
@@ -195,5 +266,100 @@ func TestOracleSelfQuery(t *testing.T) {
 				t.Fatalf("%s: self-distance %g, want ~0", kind, res[0].Dissim)
 			}
 		}
+	}
+}
+
+// lifespanWorkload is the heterogeneous-lifespan fleet: the GSTD fleet,
+// whose members all cover the time domain [0, 1], plus twelve short
+// near-twins of each query — noisy copies of a piece of the query, each
+// covering only part of the query's window. A quarter straddle the
+// window's start, a quarter its end, a quarter lie inside it, and a
+// quarter miss it by a sliver at one end. A near-twin is closer to its
+// query than any covering trajectory, yet has no DISSIM over the window
+// (§3 Def. 1): it must never be an answer, nor tighten the bound that
+// decides one. The requests carry Q and Interval only.
+func lifespanWorkload(nq int) ([]Trajectory, []Request) {
+	trajs := gstd.Generate(gstd.Config{NumObjects: 40, SamplesPerObject: 81, Seed: 3}).Trajs
+	rng := rand.New(rand.NewSource(37))
+	reqs := make([]Request, nq)
+	for i := range reqs {
+		q := oracleQuery(rng, 61)
+		t1 := 0.1 + rng.Float64()*0.3
+		t2 := t1 + 0.25 + rng.Float64()*0.3
+		w := t2 - t1
+		reqs[i] = Request{Q: q, Interval: Interval{T1: t1, T2: t2}}
+		for j := 0; j < 12; j++ {
+			var a, b float64
+			switch j % 4 {
+			case 0: // straddles the window's start
+				a, b = t1-0.02-rng.Float64()*0.08, t1+w*(0.3+0.6*rng.Float64())
+			case 1: // straddles the window's end
+				a, b = t2-w*(0.3+0.6*rng.Float64()), t2+0.02+rng.Float64()*0.03
+			case 2: // inside the window
+				a, b = t1+w*(0.01+0.2*rng.Float64()), t2-w*(0.01+0.2*rng.Float64())
+			default: // all but a sliver at one end
+				if j%8 == 3 {
+					a, b = t1+w*0.005, t2+0.05
+				} else {
+					a, b = t1-0.05, t2-w*0.005
+				}
+			}
+			twin, ok := q.Slice(a, b)
+			if !ok {
+				panic(fmt.Sprintf("lifespan twin [%g, %g] outside its query", a, b))
+			}
+			twin.ID = ID(10000 + 100*i + j)
+			for s := range twin.Samples {
+				twin.Samples[s].X += rng.NormFloat64() * 0.003
+				twin.Samples[s].Y += rng.NormFloat64() * 0.003
+			}
+			trajs = append(trajs, twin)
+		}
+	}
+	return trajs, reqs
+}
+
+// checkExactOracle asserts an answer equals the linear-scan oracle down to
+// the float bits, exact (Err = 0) and certified.
+func checkExactOracle(t *testing.T, label string, res []Result, want []scanHit) {
+	t.Helper()
+	if len(res) != len(want) {
+		t.Errorf("%s: got %d results, oracle %d: %+v", label, len(res), len(want), res)
+		return
+	}
+	for j := range want {
+		r := res[j]
+		if r.TrajID != want[j].id || math.Float64bits(r.Dissim) != math.Float64bits(want[j].d) || r.Err != 0 || !r.Certified {
+			t.Errorf("%s: rank %d = %+v, oracle traj %d at %v", label, j, r, want[j].id, want[j].d)
+			return
+		}
+	}
+}
+
+// TestLifespanOracle runs the heterogeneous-lifespan workload on every
+// index kind with the default options, k from 1 to 8, and demands the
+// oracle's answer bit for bit. A search that lets a non-covering
+// trajectory's bound into τ rejects or stops short of covering answers and
+// returns fewer or other results.
+func TestLifespanOracle(t *testing.T) {
+	trajs, reqs := lifespanWorkload(10)
+	for _, kind := range IndexKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			db, err := NewDB(kind, trajs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, req := range reqs {
+				for k := 1; k <= 8; k++ {
+					req.K, req.Options = k, DefaultOptions()
+					resp, err := db.Query(context.Background(), req)
+					if err != nil {
+						t.Fatalf("query %d k=%d: %v", i, k, err)
+					}
+					want := linearTopK(trajs, req.Q, req.Interval.T1, req.Interval.T2, k)
+					checkExactOracle(t, fmt.Sprintf("query %d k=%d", i, k), resp.Results, want)
+				}
+			}
+		})
 	}
 }

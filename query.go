@@ -79,10 +79,11 @@ func (w Window) rect() geom.Rect {
 	return geom.Rect{MinX: w.MinX, MinY: w.MinY, MaxX: w.MaxX, MaxY: w.MaxY}
 }
 
-// DefaultOptions returns the recommended search options: exact §4.4
-// post-refinement on, the paper's Lemma 1 trapezoid bound (Refine = 1),
-// both pruning heuristics enabled, no budgets. These are exactly the
-// settings the legacy KMostSimilar entry point always used.
+// DefaultOptions returns the recommended search options: exact decisions
+// from the trajectory store on, the paper's Lemma 1 trapezoid bound
+// (Refine = 1, used only with ExactRefine off), both pruning heuristics
+// enabled, no budgets. These are exactly the settings the legacy
+// KMostSimilar entry point always used.
 func DefaultOptions() Options {
 	return Options{ExactRefine: true, Refine: 1}
 }
@@ -109,7 +110,8 @@ type Request struct {
 	// the others).
 	MetricEps float64
 	// Options tunes the search; use DefaultOptions() as the baseline. The
-	// zero value is also valid (no exact refinement, Lemma 1 bound).
+	// zero value is also valid (the paper's trapezoid search, Lemma 1
+	// bound).
 	Options Options
 }
 

@@ -120,6 +120,41 @@ func TestShardedDifferentialOracle(t *testing.T) {
 	}
 }
 
+// TestShardedLifespanOracle replays the heterogeneous-lifespan workload
+// (see TestLifespanOracle) on a two-shard cluster searching one shard at a
+// time. Every answer must be bit-identical to the single DB holding the
+// whole fleet and to the oracle. A shard whose near-twins tighten its
+// bounds, or whose floor a non-covering trajectory pulls down, shows here
+// as a missing or different member.
+func TestShardedLifespanOracle(t *testing.T) {
+	trajs, reqs := mstsearch.LifespanWorkload(10)
+	for _, kind := range mstsearch.IndexKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			single, err := mstsearch.NewDB(kind, trajs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := buildCluster(t, kind, 2, shard.HashPlacement{}, shard.Options{Workers: 1}, trajs)
+			for i, req := range reqs {
+				for k := 1; k <= 8; k++ {
+					req.K, req.Options = k, mstsearch.DefaultOptions()
+					sresp, err := single.Query(context.Background(), req)
+					if err != nil {
+						t.Fatalf("query %d k=%d single: %v", i, k, err)
+					}
+					cresp, err := c.Query(context.Background(), req)
+					if err != nil {
+						t.Fatalf("query %d k=%d cluster: %v", i, k, err)
+					}
+					label := fmt.Sprintf("k=%d", k)
+					checkShardOracle(t, label, i, cresp.Results, mstsearch.OracleTopK(trajs, req.Q, req.Interval.T1, req.Interval.T2, k))
+					mstsearch.CheckBitIdentical(t, label+" cluster-vs-single", i, sresp.Results, cresp.Results)
+				}
+			}
+		})
+	}
+}
+
 // TestShardedBatchOracle certifies the cluster's batch executor: every
 // slot of a KMostSimilarBatch over the cluster is bit-identical to its
 // serial single-DB twin (the same contract DB.KMostSimilarBatch holds).
