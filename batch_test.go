@@ -39,7 +39,7 @@ func TestBatchMatchesSerialLoop(t *testing.T) {
 				t1 := rng.Float64() * 4
 				queries = append(queries, BatchQuery{Q: &c, T1: t1, T2: t1 + 2 + rng.Float64()*4, K: 1 + rng.Intn(4)})
 			}
-			opts := Options{ExactRefine: true, Refine: 1}
+			opts := Options{}
 			serial := make([][]Result, len(queries))
 			for i, bq := range queries {
 				res, _, err := db.KMostSimilarOpts(bq.Q, bq.T1, bq.T2, bq.K, opts)
@@ -74,7 +74,7 @@ func TestBatchErrorIsolation(t *testing.T) {
 		{Q: &q1, T1: 8, T2: 2, K: 2}, // inverted period: ErrBadQuery
 		{Q: &q2, T1: 0, T2: 10, K: 2},
 	}
-	out := db.KMostSimilarBatch(context.Background(), queries, Options{ExactRefine: true, Refine: 1, Parallelism: 2})
+	out := db.KMostSimilarBatch(context.Background(), queries, Options{Parallelism: 2})
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Fatalf("healthy slots failed: %v / %v", out[0].Err, out[2].Err)
 	}
@@ -100,7 +100,7 @@ func TestBatchCancellation(t *testing.T) {
 		c := trajs[i].Clone()
 		queries = append(queries, BatchQuery{Q: &c, T1: 0, T2: 10, K: 3})
 	}
-	for i, br := range db.KMostSimilarBatch(ctx, queries, Options{ExactRefine: true, Refine: 1, Parallelism: 4}) {
+	for i, br := range db.KMostSimilarBatch(ctx, queries, Options{Parallelism: 4}) {
 		if !errors.Is(br.Err, ErrCanceled) {
 			t.Fatalf("slot %d: err %v, want ErrCanceled", i, br.Err)
 		}
@@ -133,7 +133,7 @@ func TestBatchSharedPoolWarmth(t *testing.T) {
 		{Q: &q, T1: 4, T2: 6, K: 2},
 		{Q: &q, T1: 4, T2: 6, K: 2}, // identical twin: pages still warm
 	}
-	out := db.KMostSimilarBatch(context.Background(), queries, Options{ExactRefine: true, Refine: 1, Parallelism: 1})
+	out := db.KMostSimilarBatch(context.Background(), queries, Options{Parallelism: 1})
 	for i, br := range out {
 		if br.Err != nil {
 			t.Fatalf("slot %d: %v", i, br.Err)

@@ -159,27 +159,25 @@ func benchDB(b *testing.B, kind IndexKind) (*DB, Trajectory) {
 
 // BenchmarkAblationHeuristics quantifies what each pruning heuristic buys
 // (DESIGN.md §4.2): the same query with heuristics individually disabled,
-// on the paper's search. ExactRefine is off, because the store path has
-// no partial candidates for Heuristic 1 to reject.
+// on the paper's search through internal/mst, without the trajectory
+// store, which leaves Heuristic 1 no partial candidates to reject.
 func BenchmarkAblationHeuristics(b *testing.B) {
 	db, q := benchDB(b, RTree3D)
+	req := Request{Q: &q, Interval: Interval{T1: q.StartTime(), T2: q.EndTime()}, K: 1}
 	cases := []struct {
 		name string
-		opt  Options
+		opt  mst.Options
 	}{
-		{"full", Options{}},
-		{"noH1", Options{DisableHeuristic1: true}},
-		{"noH2", Options{DisableHeuristic2: true}},
-		{"noH1H2", Options{DisableHeuristic1: true, DisableHeuristic2: true}},
+		{"full", mst.Options{}},
+		{"noH1", mst.Options{DisableHeuristic1: true}},
+		{"noH2", mst.Options{DisableHeuristic2: true}},
+		{"noH1H2", mst.Options{DisableHeuristic1: true, DisableHeuristic2: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			var nodes int
 			for i := 0; i < b.N; i++ {
-				_, st, err := db.KMostSimilarOpts(&q, q.StartTime(), q.EndTime(), 1, c.opt)
-				if err != nil {
-					b.Fatal(err)
-				}
+				_, st := searchMST(b, db, req, c.opt)
 				nodes = st.NodesAccessed
 			}
 			b.ReportMetric(float64(nodes), "nodesAccessed")
@@ -188,19 +186,16 @@ func BenchmarkAblationHeuristics(b *testing.B) {
 }
 
 // BenchmarkAblationRefine measures the trapezoid refinement knob
-// (DESIGN.md §4.1) on the paper's search: Lemma 1 as published
-// (refine=1) vs subdivided intervals. ExactRefine is off, because with it
-// on the search evaluates no trapezoid.
+// (DESIGN.md §4.1) on the paper's search through internal/mst: Lemma 1 as
+// published (refine=1) vs subdivided intervals. The search runs without
+// the trajectory store, because with it no trapezoid is evaluated.
 func BenchmarkAblationRefine(b *testing.B) {
 	db, q := benchDB(b, RTree3D)
+	req := Request{Q: &q, Interval: Interval{T1: q.StartTime(), T2: q.EndTime()}, K: 1}
 	for _, refine := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("refine=%d", refine), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _, err := db.KMostSimilarOpts(&q, q.StartTime(), q.EndTime(), 1,
-					Options{Refine: refine})
-				if err != nil {
-					b.Fatal(err)
-				}
+				searchMST(b, db, req, mst.Options{Refine: refine})
 			}
 		})
 	}
@@ -413,14 +408,14 @@ func BenchmarkKMostSimilarBatch(b *testing.B) {
 	// One untimed pass warms the shared buffer so every leg measures the
 	// same steady state.
 	for _, br := range db.KMostSimilarBatch(context.Background(), queries,
-		Options{ExactRefine: true, Refine: 1, Parallelism: 1}) {
+		Options{Parallelism: 1}) {
 		if br.Err != nil {
 			b.Fatal(br.Err)
 		}
 	}
 	for _, par := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
-			opts := Options{ExactRefine: true, Refine: 1, Parallelism: par}
+			opts := Options{Parallelism: par}
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {

@@ -132,7 +132,6 @@ func (r *ExplainReport) String() string {
 	fmt.Fprintf(&b, "  leaf pages           %d actual vs %.1f predicted\n",
 		r.Stats.LeavesAccessed, r.Estimate.ExpectedLeafPages)
 	fmt.Fprintf(&b, "  heap enqueued        %d\n", r.Stats.Enqueued)
-	fmt.Fprintf(&b, "  trapezoid evals      %d\n", r.Stats.TrapezoidEvals)
 	fmt.Fprintf(&b, "  exact decisions      %d\n", r.Stats.ExactRefined)
 	fmt.Fprintf(&b, "  page I/O             %d reads, %d buffer hits, %d retries, %d evictions\n",
 		r.Stats.PageReads, r.Stats.BufferHits, r.Stats.Retries, r.Stats.Evictions)
@@ -166,9 +165,6 @@ func (r *ExplainReport) String() string {
 	fmt.Fprintf(&b, "results:\n")
 	for i, res := range r.Results {
 		mark := "exact"
-		if res.Err > 0 {
-			mark = fmt.Sprintf("±%.4g", res.Err)
-		}
 		if !res.Certified {
 			mark += ", provisional"
 		}

@@ -46,7 +46,7 @@ func FleetForTest(rng *rand.Rand, n, samples int) []Trajectory {
 }
 
 // CheckBitIdentical re-exports the float-bit equality assertion: same
-// IDs, same Dissim/Err bits, same Certified flags.
+// IDs, same Dissim bits, same Certified flags.
 func CheckBitIdentical(t *testing.T, label string, iter int, a, b []Result) {
 	t.Helper()
 	checkBitIdentical(t, label, iter, a, b)

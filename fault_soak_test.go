@@ -100,7 +100,7 @@ func TestFaultInjectionSoak(t *testing.T) {
 
 		case 1, 2: // tight node budget: degraded, certified ⊆ true top-k.
 			res, st, err := db.KMostSimilarOptsContext(context.Background(), &q, t1, t2, k, Options{
-				ExactRefine: true, Refine: 1, MaxNodeAccesses: 1 + rng.Intn(4),
+				MaxNodeAccesses: 1 + rng.Intn(4),
 			})
 			if err != nil {
 				if !typedQueryError(err) {
@@ -374,7 +374,7 @@ func TestWarmStripedPoolSoak(t *testing.T) {
 
 	var correct, failed int
 	var retries uint64
-	opts := Options{ExactRefine: true, Refine: 1, Parallelism: 4}
+	opts := Options{Parallelism: 4}
 	for i := 0; i < 25; i++ {
 		// Eight serial queries...
 		for j := 0; j < 8; j++ {

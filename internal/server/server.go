@@ -420,7 +420,7 @@ func queryResponse(results []mstsearch.Result, stats mstsearch.SearchStats) *Que
 	}
 	for i, res := range results {
 		out.Results[i] = ResultJSON{
-			ID: uint32(res.TrajID), Dissim: res.Dissim, Err: res.Err, Certified: res.Certified,
+			ID: uint32(res.TrajID), Dissim: res.Dissim, Certified: res.Certified,
 		}
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -119,9 +120,13 @@ func TestQueryEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("library query: %v", err)
 	}
+	if len(want.Results) != len(resp.Results) {
+		t.Fatalf("server %d results, library %d", len(resp.Results), len(want.Results))
+	}
 	for i, r := range want.Results {
-		if resp.Results[i].ID != uint32(r.TrajID) {
-			t.Fatalf("result %d: server id %d, library id %d", i, resp.Results[i].ID, r.TrajID)
+		got := resp.Results[i]
+		if got.ID != uint32(r.TrajID) || math.Float64bits(got.Dissim) != math.Float64bits(r.Dissim) {
+			t.Fatalf("result %d: server traj %d (%v), library traj %d (%v)", i, got.ID, got.Dissim, r.TrajID, r.Dissim)
 		}
 	}
 }

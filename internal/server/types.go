@@ -33,8 +33,6 @@ type QueryRequest struct {
 type ResultJSON struct {
 	ID     uint32  `json:"id"`
 	Dissim float64 `json:"dissim"`
-	// Err is the certified error bound (0 for exactly decided values).
-	Err float64 `json:"err,omitempty"`
 	// Certified reports whether the answer is provably in the true top-k;
 	// false marks the provisional tail of a degraded response.
 	Certified bool `json:"certified"`

@@ -11,12 +11,11 @@
 // the trajectory), so the global candidate set is the disjoint union of
 // the shards'. A shard's root-MBB lower bound holds for every trajectory
 // it stores; a shard is skipped only when that bound strictly exceeds the
-// global k-th pessimistic bound over already-collected results (or is
-// +Inf — provably no covering trajectory). With exact decisions
-// (Options.ExactRefine, the default), merged results, order, and Certified
-// flags are bit-identical to running the same query on one DB holding all
-// trajectories — the property the differential suite enforces at every
-// shard count and placement.
+// k-th smallest DISSIM over already-collected results (or is +Inf —
+// provably no covering trajectory). Every shard answers with exact values,
+// so merged results, order, and Certified flags are bit-identical to
+// running the same query on one DB holding all trajectories — the property
+// the differential suite enforces at every shard count and placement.
 //
 // # Replication
 //

@@ -16,8 +16,8 @@ import (
 type QueryStats struct {
 	// Fanout is how many shards actually ran the search; Pruned how many
 	// the coordinator skipped because their certified lower bound could
-	// not beat the global k-th pessimistic bound (Fanout + Pruned =
-	// NumShards).
+	// not beat the k-th smallest DISSIM already collected (Fanout + Pruned
+	// = NumShards).
 	Fanout int
 	Pruned int
 	// Bounds is each shard's certified OPTDISSIM lower bound (indexed by
@@ -34,8 +34,8 @@ type QueryStats struct {
 	Hedges    int
 }
 
-// Query answers one k-MST request against the whole cluster. With exact
-// decisions (Options.ExactRefine) the merged results, their order, and
+// Query answers one k-MST request against the whole cluster. Every shard
+// answers with exact values, so the merged results, their order, and
 // their Certified flags are bit-identical to the same Request on a single
 // DB holding every trajectory; shard pruning and gather short-circuiting
 // are pure optimizations that never change the answer. A caller-supplied
@@ -95,7 +95,7 @@ func (c *Cluster) queryLocked(ctx context.Context, req mstsearch.Request) (mstse
 	}
 
 	// Stage 2 — scatter in waves of ascending bound. Shards whose bound
-	// cannot beat the k-th pessimistic bound over already-collected
+	// cannot beat the k-th smallest DISSIM of the already-collected
 	// results pop later in this order, so one check between waves prunes
 	// every remaining shard at once — the cluster-level analogue of
 	// Heuristic 2's MINDIST-order early termination. The schedule is a
@@ -114,18 +114,18 @@ func (c *Cluster) queryLocked(ctx context.Context, req mstsearch.Request) (mstse
 	})
 
 	resps := make([]*mstsearch.Response, n)
-	var pes []float64 // pessimistic bounds (Dissim + Err) of collected results
+	var dists []float64 // DISSIM of every collected result
 	queried, pruned := 0, 0
 	pos := 0
 	for pos < n {
 		next := bounds[order[pos]]
-		if math.IsInf(next, 1) || (len(pes) >= k && kthSmallest(pes, k) < next) {
+		if math.IsInf(next, 1) || (len(dists) >= k && kthSmallest(dists, k) < next) {
 			// Every remaining shard has bound >= next: none can place a
 			// result among the k already collected (strictly better)
 			// ones, and +Inf means provably nothing covers the period.
 			tau := math.Inf(1)
-			if len(pes) >= k {
-				tau = kthSmallest(pes, k)
+			if len(dists) >= k {
+				tau = kthSmallest(dists, k)
 			}
 			for _, i := range order[pos:] {
 				pruned++
@@ -171,7 +171,7 @@ func (c *Cluster) queryLocked(ctx context.Context, req mstsearch.Request) (mstse
 		for _, i := range wave {
 			queried++
 			for _, r := range resps[i].Results {
-				pes = append(pes, r.Dissim+r.Err)
+				dists = append(dists, r.Dissim)
 			}
 		}
 		pos = end
@@ -258,7 +258,6 @@ func (c *Cluster) merge(k int, bounds []float64, resps []*mstsearch.Response, cs
 		stats.BufferHits += st.BufferHits
 		stats.Retries += st.Retries
 		stats.Evictions += st.Evictions
-		stats.TrapezoidEvals += st.TrapezoidEvals
 		stats.ExactRefined += st.ExactRefined
 		stats.TerminatedEarly = stats.TerminatedEarly || st.TerminatedEarly
 		stats.Degraded = stats.Degraded || st.Degraded
@@ -283,19 +282,19 @@ func (c *Cluster) merge(k int, bounds []float64, resps []*mstsearch.Response, cs
 		// Results merged out still bound the response-level floor: they
 		// are stored trajectories the caller does not see.
 		for _, r := range all[k:] {
-			if lo := r.Dissim - r.Err; lo < stats.CertFloor {
-				stats.CertFloor = lo
+			if r.Dissim < stats.CertFloor {
+				stats.CertFloor = r.Dissim
 			}
 		}
 		all = all[:k]
 	}
 	// A result stays certified only if its shard certified it AND no
 	// unseen trajectory (pruned shard, degraded holdback) can lie below
-	// its pessimistic bound — the same `hi <= floor` rule a degraded
-	// single-DB search applies. certFloor is +Inf when every shard ran to
-	// completion or was pruned strictly, leaving all flags untouched.
+	// its DISSIM — the `hi <= floor` rule a degraded single-DB search
+	// applies, with hi the exact value. certFloor is +Inf when every shard
+	// ran to completion or was pruned strictly, leaving all flags untouched.
 	for i := range all {
-		all[i].Certified = all[i].Certified && all[i].Dissim+all[i].Err <= certFloor
+		all[i].Certified = all[i].Certified && all[i].Dissim <= certFloor
 	}
 
 	resp := mstsearch.Response{Results: all, Stats: stats}

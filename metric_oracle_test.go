@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mstsearch/internal/gstd"
+	"mstsearch/internal/mst"
 )
 
 // The metric differential oracle: every exact-metric kNN answer the
@@ -107,7 +108,7 @@ func TestMetricDifferentialOracle(t *testing.T) {
 				req := Request{
 					Q: q, Interval: Interval{T1: t1, T2: t2}, K: k,
 					Metric: mc.m, MetricEps: mc.eps,
-					Options: Options{ExactRefine: true, Refine: 1, Parallelism: 1},
+					Options: Options{Parallelism: 1},
 				}
 				resp, err := db.Query(context.Background(), req)
 				if err != nil {
@@ -131,7 +132,7 @@ func TestMetricDifferentialOracle(t *testing.T) {
 				batch[i] = BatchQuery{Q: q, T1: t1, T2: t2, K: k, Metric: mc.m, MetricEps: mc.eps}
 			}
 			for i, br := range db.KMostSimilarBatch(context.Background(), batch,
-				Options{ExactRefine: true, Refine: 1, Parallelism: 4}) {
+				Options{Parallelism: 4}) {
 				if br.Err != nil {
 					t.Fatalf("batch slot %d: %v", i, br.Err)
 				}
@@ -145,11 +146,11 @@ func TestMetricDifferentialOracle(t *testing.T) {
 	t.Run("dtw-ties", func(t *testing.T) { testDTWTies(t, trajs) })
 }
 
-// checkDTWFilterParity reruns a DTW request traced, and again with
-// Heuristic 1 disabled, which evaluates every admitted candidate in full.
-// Both must return want. It returns how many candidates the traced run
-// admitted and then rejected: filtered by a cascade bound or abandoned by
-// the kernel.
+// checkDTWFilterParity reruns a DTW request traced, and again through
+// internal/mst with Heuristic 1 disabled, which evaluates every admitted
+// candidate in full. Both must return want. It returns how many candidates
+// the traced run admitted and then rejected: filtered by a cascade bound
+// or abandoned by the kernel.
 func checkDTWFilterParity(t *testing.T, db *DB, req Request, want []Result) int {
 	t.Helper()
 	treq := req
@@ -159,14 +160,20 @@ func checkDTWFilterParity(t *testing.T, db *DB, req Request, want []Result) int 
 		t.Fatal(err)
 	}
 	checkBitIdentical(t, "dtw-traced", 0, want, tresp.Results)
-	ureq := req
-	ureq.Options.DisableHeuristic1 = true
-	uresp, err := db.Query(context.Background(), ureq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBitIdentical(t, "dtw-heuristic1-off", 0, want, uresp.Results)
+	checkBitIdentical(t, "dtw-heuristic1-off", 0, want, searchH1Off(t, db, req))
 	return *filtered
+}
+
+// searchH1Off runs req on db's metric index through internal/mst with
+// Heuristic 1 disabled, the switch DB.Query does not expose.
+func searchH1Off(t *testing.T, db *DB, req Request) []Result {
+	t.Helper()
+	res, _ := searchMST(t, db, req, mst.Options{DisableHeuristic1: true})
+	out := make([]Result, len(res))
+	for i, r := range res {
+		out[i] = Result{TrajID: r.TrajID, Dissim: r.Dissim, Certified: r.Certified}
+	}
+	return out
 }
 
 // countFiltered sets a trace hook on o that counts the candidates admitted
@@ -226,7 +233,7 @@ func testDTWTies(t *testing.T, fleet []Trajectory) {
 		}
 		req := Request{
 			Q: q, Interval: Interval{T1: t1, T2: t2}, K: k, Metric: MetricDTW,
-			Options: Options{ExactRefine: true, Refine: 1, Parallelism: 1},
+			Options: Options{Parallelism: 1},
 		}
 		resp, err := db.Query(context.Background(), req)
 		if err != nil {
@@ -260,7 +267,7 @@ func TestMetricDegradedBudgetParity(t *testing.T) {
 		t1, t2 := oracleWindow(rng)
 		k := 1 + rng.Intn(4)
 		opts := Options{
-			ExactRefine: true, Refine: 1, Parallelism: 1,
+			Parallelism:     1,
 			MaxNodeAccesses: 1 + rng.Intn(3), // tight: most searches degrade
 		}
 		req := Request{
@@ -305,17 +312,12 @@ func TestMetricDegradedBudgetParity(t *testing.T) {
 					i, resp.Stats.CertFloor, h.d, h.id)
 			}
 		}
-		ureq := req
-		ureq.Options.DisableHeuristic1 = true
-		uresp, err := db.Query(context.Background(), ureq)
-		if err != nil {
-			t.Fatalf("iter %d heuristic 1 off: %v", i, err)
-		}
-		if len(uresp.Results) != len(resp.Results) {
-			t.Fatalf("iter %d: %d results with Heuristic 1 off, %d with it on", i, len(uresp.Results), len(resp.Results))
+		uresults := searchH1Off(t, db, req)
+		if len(uresults) != len(resp.Results) {
+			t.Fatalf("iter %d: %d results with Heuristic 1 off, %d with it on", i, len(uresults), len(resp.Results))
 		}
 		for j, r := range resp.Results {
-			u := uresp.Results[j]
+			u := uresults[j]
 			if u.TrajID != r.TrajID || math.Float64bits(u.Dissim) != math.Float64bits(r.Dissim) {
 				t.Fatalf("iter %d rank %d: traj %d (%v) with Heuristic 1 off, %d (%v) with it on",
 					i, j, u.TrajID, u.Dissim, r.TrajID, r.Dissim)

@@ -53,11 +53,9 @@ type (
 // Result is one k-MST answer, most similar first.
 type Result struct {
 	TrajID ID
-	// Dissim is the DISSIM value; Err is its certified error bound
-	// (0 when the search decided it exactly: ExactRefine, or a metric
-	// index).
+	// Dissim is the exact DISSIM value (or the metric's distance on a
+	// metric index).
 	Dissim float64
-	Err    float64
 	// Certified reports whether the result is provably a member of the
 	// true top-k. Complete searches certify every result; a
 	// budget-degraded search (Stats.Degraded) certifies only the results
@@ -79,7 +77,6 @@ type SearchStats struct {
 	BufferHits      uint64
 	Retries         uint64 // page reads retried after transient faults
 	Evictions       uint64 // buffer frames evicted during the query
-	TrapezoidEvals  int    // Lemma 1 trapezoid interval evaluations
 	ExactRefined    int    // candidates decided by exact DISSIM from the trajectory store
 	TerminatedEarly bool
 	// Degraded reports that a budget (MaxNodeAccesses / MaxIOReads) ran
@@ -92,28 +89,18 @@ type SearchStats struct {
 	// when the search proved nothing was left behind, finite when budget
 	// degradation or pruning left trajectories only bounded from below.
 	// A scatter-gather coordinator (internal/shard) compares one shard's
-	// pessimistic result bounds against its siblings' floors to certify a
-	// merged top-k.
+	// result distances against its siblings' floors to certify a merged
+	// top-k.
 	CertFloor float64
 }
 
-// Options tunes a search beyond the defaults; the zero value is sensible.
+// Options tunes a search beyond the defaults; the zero value is the
+// search every entry point runs: an MBB index decides each trajectory by
+// its exact DISSIM, from the trajectory store, the first time a leaf names
+// it, and a metric index evaluates its answers exactly. The paper's
+// trapezoid search and its heuristics switches are not options here;
+// internal/mst keeps them for the experiments that reproduce the paper.
 type Options struct {
-	// ExactRefine hands the search the trajectory store, so that an MBB
-	// index decides each trajectory by its exact DISSIM the first time a
-	// leaf names it and returns exact distances (Err = 0). Off, the search
-	// is the paper's trapezoid search and distances carry their certified
-	// error. On by default (DefaultOptions); metric indexes always search
-	// exactly.
-	ExactRefine bool
-	// DisableHeuristic1 / DisableHeuristic2 switch off the paper's pruning
-	// heuristics — useful only for measurement.
-	DisableHeuristic1 bool
-	DisableHeuristic2 bool
-	// Refine subdivides each sampling interval for a tighter trapezoid
-	// bound (1 = the paper's Lemma 1). With ExactRefine on no trapezoid
-	// is evaluated, so it has no effect.
-	Refine int
 	// ExcludeIDs are trajectories never reported — typically the query's
 	// own stored twin in "more like this one" searches.
 	ExcludeIDs []ID
@@ -650,46 +637,35 @@ func (db *DB) kMostSimilar(ctx context.Context, q *Trajectory, t1, t2 float64, k
 	view := db.view()
 	before := bp.Stats()
 	opts := mst.Options{
-		K:                 k,
-		Vmax:              db.vmax + q.MaxSpeed(),
-		Refine:            o.Refine,
-		DisableHeuristic1: o.DisableHeuristic1,
-		DisableHeuristic2: o.DisableHeuristic2,
-		ExcludeIDs:        o.ExcludeIDs,
-		MaxNodeAccesses:   o.MaxNodeAccesses,
-		MaxIOReads:        o.MaxIOReads,
-		Trace:             o.Trace,
+		K:               k,
+		Vmax:            db.vmax + q.MaxSpeed(),
+		ExcludeIDs:      o.ExcludeIDs,
+		MaxNodeAccesses: o.MaxNodeAccesses,
+		MaxIOReads:      o.MaxIOReads,
+		Trace:           o.Trace,
 	}
 	if o.MaxIOReads > 0 {
 		opts.IOReads = func() uint64 { return bp.Stats().Misses - before.Misses }
 	}
+	// Both index families search with the trajectory store: a metric tree
+	// stores no geometry, so candidates and pivots resolve through it, and
+	// an MBB tree decides each trajectory from it exactly.
+	ds, err := db.dataset()
+	if err != nil {
+		return nil, SearchStats{}, err
+	}
+	opts.Data = ds
 	var (
 		res []mst.Result
 		st  mst.Stats
-		err error
 	)
 	switch tree := view.(type) {
 	case index.MetricTree:
-		// A metric tree stores no geometry: candidates and pivots resolve
-		// through the dataset, and every result is evaluated exactly, so
-		// the search needs Data regardless of o.ExactRefine.
-		ds, derr := db.dataset()
-		if derr != nil {
-			return nil, SearchStats{}, derr
-		}
-		opts.Data = ds
 		res, st, err = mst.MetricSearchContext(ctx, tree, q, t1, t2, m, eps, opts)
 	case index.Tree:
 		if m != MetricDISSIM {
 			return nil, SearchStats{}, fmt.Errorf("%w: metric %s is not supported by the %s index (use an %s database)",
 				ErrBadQuery, m, db.kind, NTree)
-		}
-		if o.ExactRefine {
-			ds, derr := db.dataset()
-			if derr != nil {
-				return nil, SearchStats{}, derr
-			}
-			opts.Data = ds
 		}
 		res, st, err = mst.SearchContext(ctx, tree, q, t1, t2, opts)
 	default:
@@ -700,7 +676,7 @@ func (db *DB) kMostSimilar(ctx context.Context, q *Trajectory, t1, t2 float64, k
 	}
 	out := make([]Result, len(res))
 	for i, r := range res {
-		out[i] = Result{TrajID: r.TrajID, Dissim: r.Dissim, Err: r.Err, Certified: r.Certified}
+		out[i] = Result{TrajID: r.TrajID, Dissim: r.Dissim, Certified: r.Certified}
 	}
 	bs := bp.Stats()
 	return out, SearchStats{
@@ -713,7 +689,6 @@ func (db *DB) kMostSimilar(ctx context.Context, q *Trajectory, t1, t2 float64, k
 		BufferHits:      bs.Hits - before.Hits,
 		Retries:         bs.Retries - before.Retries,
 		Evictions:       bs.Evictions - before.Evictions,
-		TrapezoidEvals:  st.TrapezoidEvals,
 		ExactRefined:    st.ExactRefined,
 		TerminatedEarly: st.TerminatedEarly,
 		Degraded:        st.Degraded,

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"mstsearch/internal/gstd"
+	"mstsearch/internal/index"
+	"mstsearch/internal/mst"
 )
 
 // The differential oracle: every index-based k-MST answer — over every
@@ -16,11 +18,10 @@ import (
 // touches no index, no buffer pool, and no concurrency, so an agreement
 // here certifies the whole query stack at once.
 //
-// Tolerances: result membership and ordering must be identical. Distances
-// must agree within the result's own certified error band; with the
-// default options every index evaluates its answers exactly (Err = 0), so
-// in practice this is a floating-point epsilon, and the heterogeneous-
-// lifespan oracle demands the oracle's bits. Two runs of the *same* query
+// Tolerances: result membership and ordering must be identical. Every
+// index evaluates its answers exactly, so distances must agree within a
+// floating-point epsilon, and the heterogeneous-lifespan oracle demands
+// the oracle's bits. Two runs of the *same* query
 // — alone, through another entry point, or as a slot of a batch on many
 // workers — must be bit-identical: same IDs, same float bits, same
 // Certified flags.
@@ -47,7 +48,7 @@ func oracleWindow(rng *rand.Rand) (float64, float64) {
 }
 
 // checkOracle compares an index answer against the linear-scan oracle:
-// same members, same order, distances within the certified band.
+// same members, same order, distances within a floating-point epsilon.
 func checkOracle(t *testing.T, label string, iter int, res []Result, want []scanHit) {
 	t.Helper()
 	if len(res) != len(want) {
@@ -58,7 +59,7 @@ func checkOracle(t *testing.T, label string, iter int, res []Result, want []scan
 			t.Fatalf("%s iter %d: rank %d = traj %d (%g), oracle %d (%g)",
 				label, iter, j, res[j].TrajID, res[j].Dissim, want[j].id, want[j].d)
 		}
-		tol := res[j].Err + 1e-9*(1+math.Abs(want[j].d))
+		tol := 1e-9 * (1 + math.Abs(want[j].d))
 		if math.Abs(res[j].Dissim-want[j].d) > tol {
 			t.Fatalf("%s iter %d: traj %d dissim %g outside band ±%g of oracle %g",
 				label, iter, res[j].TrajID, res[j].Dissim, tol, want[j].d)
@@ -81,7 +82,6 @@ func checkBitIdentical(t *testing.T, label string, iter int, serial, parallel []
 		s, p := serial[j], parallel[j]
 		if s.TrajID != p.TrajID ||
 			math.Float64bits(s.Dissim) != math.Float64bits(p.Dissim) ||
-			math.Float64bits(s.Err) != math.Float64bits(p.Err) ||
 			s.Certified != p.Certified {
 			t.Fatalf("%s iter %d rank %d: serial %+v != parallel %+v", label, iter, j, s, p)
 		}
@@ -136,7 +136,7 @@ func TestDifferentialOracle(t *testing.T) {
 					// entry points are the same search.
 					resp, err := db.Query(context.Background(), Request{
 						Q: q, Interval: Interval{T1: t1, T2: t2}, K: k,
-						Options: Options{ExactRefine: true, Refine: 1, Parallelism: 1},
+						Options: Options{Parallelism: 1},
 					})
 					if err != nil {
 						t.Fatalf("iter %d serial: %v", i, err)
@@ -145,7 +145,7 @@ func TestDifferentialOracle(t *testing.T) {
 					checkOracle(t, "serial", i, serial, want)
 
 					par, _, err := db.KMostSimilarOpts(q, t1, t2, k,
-						Options{ExactRefine: true, Refine: 1, Parallelism: 4})
+						Options{Parallelism: 4})
 					if err != nil {
 						t.Fatalf("iter %d parallel: %v", i, err)
 					}
@@ -160,7 +160,7 @@ func TestDifferentialOracle(t *testing.T) {
 				// The whole combo again as one batch on 4 workers: every
 				// slot bit-identical to its serial twin.
 				for i, br := range db.KMostSimilarBatch(context.Background(), batch,
-					Options{ExactRefine: true, Refine: 1, Parallelism: 4}) {
+					Options{Parallelism: 4}) {
 					if br.Err != nil {
 						t.Fatalf("batch slot %d: %v", i, br.Err)
 					}
@@ -175,15 +175,48 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 }
 
+// searchMST runs req on db's index through internal/mst with opts, filling
+// in K, Vmax, ExcludeIDs and MaxNodeAccesses from req and db as DB.Query
+// does. It reaches the switches DB.Query does not expose: on an MBB index,
+// opts.Data nil runs the paper's trapezoid search, and the heuristics
+// switches and Refine act as internal/mst documents them. A metric index
+// always searches with the trajectory store.
+func searchMST(tb testing.TB, db *DB, req Request, opts mst.Options) ([]mst.Result, mst.Stats) {
+	tb.Helper()
+	opts.K, opts.Vmax = req.K, db.vmax+req.Q.MaxSpeed()
+	opts.ExcludeIDs, opts.MaxNodeAccesses = req.Options.ExcludeIDs, req.Options.MaxNodeAccesses
+	ctx, iv := context.Background(), req.Interval
+	var (
+		res []mst.Result
+		st  mst.Stats
+		err error
+	)
+	switch tree := db.view().(type) {
+	case index.MetricTree:
+		if opts.Data, err = db.dataset(); err == nil {
+			res, st, err = mst.MetricSearchContext(ctx, tree, req.Q, iv.T1, iv.T2, req.Metric, req.MetricEps, opts)
+		}
+	case index.Tree:
+		res, st, err = mst.SearchContext(ctx, tree, req.Q, iv.T1, iv.T2, opts)
+	default:
+		err = fmt.Errorf("index kind %s exposes no searchable view", db.kind)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res, st
+}
+
 // TestDifferentialOraclePaperPath is the oracle's leg for the paper's
-// trapezoid search: ExactRefine off, so an MBB index assembles candidates
-// segment by segment and reports certified intervals. Each result's
-// interval must contain its exact DISSIM, and a result may stand in for a
-// true top-k member only within their two errors — r outranks a missing t
-// only if mid(r) ≤ mid(t), so exact(r) ≤ k-th exact + Err(r) + the largest
-// Err over the true top k. Members' errors come from a reference query
-// that completes every trajectory (both heuristics off, k = all). The
-// metric index searches exactly either way and must match the oracle.
+// trapezoid search, run through internal/mst without the trajectory store:
+// an MBB index assembles candidates segment by segment and reports
+// certified intervals. Each result's interval must contain its exact
+// DISSIM, and a result may stand in for a true top-k member only within
+// their two errors — r outranks a missing t only if mid(r) ≤ mid(t), so
+// exact(r) ≤ k-th exact + Err(r) + the largest Err over the true top k.
+// Members' errors come from a reference search that completes every
+// trajectory (both heuristics off, k = all). The metric index searches
+// exactly either way and must match the oracle.
 func TestDifferentialOraclePaperPath(t *testing.T) {
 	trajs := gstd.Generate(gstd.Config{NumObjects: 48, SamplesPerObject: 81, Seed: 2}).Trajs
 	for _, kind := range IndexKinds() {
@@ -197,18 +230,12 @@ func TestDifferentialOraclePaperPath(t *testing.T) {
 				q := oracleQuery(rng, 61)
 				t1, t2 := oracleWindow(rng)
 				k := 1 + rng.Intn(5)
-				iv := Interval{T1: t1, T2: t2}
-				resp, err := db.Query(context.Background(), Request{Q: q, Interval: iv, K: k, Options: Options{Refine: 1}})
-				if err != nil {
-					t.Fatalf("iter %d: %v", i, err)
-				}
-				ref, err := db.Query(context.Background(), Request{Q: q, Interval: iv, K: len(trajs),
-					Options: Options{Refine: 1, DisableHeuristic1: true, DisableHeuristic2: true}})
-				if err != nil {
-					t.Fatalf("iter %d reference: %v", i, err)
-				}
+				req := Request{Q: q, Interval: Interval{T1: t1, T2: t2}, K: k}
+				res, _ := searchMST(t, db, req, mst.Options{Refine: 1})
+				req.K = len(trajs)
+				ref, _ := searchMST(t, db, req, mst.Options{Refine: 1, DisableHeuristic1: true, DisableHeuristic2: true})
 				refErr := map[ID]float64{}
-				for _, r := range ref.Results {
+				for _, r := range ref {
 					refErr[r.TrajID] = r.Err
 				}
 				all := linearTopK(trajs, q, t1, t2, len(trajs))
@@ -221,10 +248,10 @@ func TestDifferentialOraclePaperPath(t *testing.T) {
 				for _, w := range want {
 					kth, topErr = w.d, math.Max(topErr, refErr[w.id])
 				}
-				if len(resp.Results) != len(want) {
-					t.Fatalf("iter %d: got %d results, oracle %d", i, len(resp.Results), len(want))
+				if len(res) != len(want) {
+					t.Fatalf("iter %d: got %d results, oracle %d", i, len(res), len(want))
 				}
-				for j, r := range resp.Results {
+				for j, r := range res {
 					d, ok := exact[r.TrajID]
 					slack := 1e-9 * (1 + math.Abs(d))
 					switch {
@@ -320,7 +347,7 @@ func lifespanWorkload(nq int) ([]Trajectory, []Request) {
 }
 
 // checkExactOracle asserts an answer equals the linear-scan oracle down to
-// the float bits, exact (Err = 0) and certified.
+// the float bits, and certified.
 func checkExactOracle(t *testing.T, label string, res []Result, want []scanHit) {
 	t.Helper()
 	if len(res) != len(want) {
@@ -329,7 +356,7 @@ func checkExactOracle(t *testing.T, label string, res []Result, want []scanHit) 
 	}
 	for j := range want {
 		r := res[j]
-		if r.TrajID != want[j].id || math.Float64bits(r.Dissim) != math.Float64bits(want[j].d) || r.Err != 0 || !r.Certified {
+		if r.TrajID != want[j].id || math.Float64bits(r.Dissim) != math.Float64bits(want[j].d) || !r.Certified {
 			t.Errorf("%s: rank %d = %+v, oracle traj %d at %v", label, j, r, want[j].id, want[j].d)
 			return
 		}
@@ -337,28 +364,40 @@ func checkExactOracle(t *testing.T, label string, res []Result, want []scanHit) 
 }
 
 // TestLifespanOracle runs the heterogeneous-lifespan workload on every
-// index kind with the default options, k from 1 to 8, and demands the
-// oracle's answer bit for bit. A search that lets a non-covering
+// index kind, k from 1 to 8, and demands the oracle's answer bit for bit,
+// once with DefaultOptions and once with the zero Options a Request
+// carries when the caller sets none. A search that lets a non-covering
 // trajectory's bound into τ rejects or stops short of covering answers and
 // returns fewer or other results.
 func TestLifespanOracle(t *testing.T) {
 	trajs, reqs := lifespanWorkload(10)
+	rows := []struct {
+		name string
+		opts Options
+	}{
+		{"DefaultOptions", DefaultOptions()},
+		{"ZeroOptions", Options{}},
+	}
 	for _, kind := range IndexKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			db, err := NewDB(kind, trajs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, req := range reqs {
-				for k := 1; k <= 8; k++ {
-					req.K, req.Options = k, DefaultOptions()
-					resp, err := db.Query(context.Background(), req)
-					if err != nil {
-						t.Fatalf("query %d k=%d: %v", i, k, err)
+			for _, row := range rows {
+				t.Run(row.name, func(t *testing.T) {
+					for i, req := range reqs {
+						for k := 1; k <= 8; k++ {
+							req.K, req.Options = k, row.opts
+							resp, err := db.Query(context.Background(), req)
+							if err != nil {
+								t.Fatalf("query %d k=%d: %v", i, k, err)
+							}
+							want := linearTopK(trajs, req.Q, req.Interval.T1, req.Interval.T2, k)
+							checkExactOracle(t, fmt.Sprintf("query %d k=%d", i, k), resp.Results, want)
+						}
 					}
-					want := linearTopK(trajs, req.Q, req.Interval.T1, req.Interval.T2, k)
-					checkExactOracle(t, fmt.Sprintf("query %d k=%d", i, k), resp.Results, want)
-				}
+				})
 			}
 		})
 	}

@@ -79,13 +79,11 @@ func (w Window) rect() geom.Rect {
 	return geom.Rect{MinX: w.MinX, MinY: w.MinY, MaxX: w.MaxX, MaxY: w.MaxY}
 }
 
-// DefaultOptions returns the recommended search options: exact decisions
-// from the trajectory store on, the paper's Lemma 1 trapezoid bound
-// (Refine = 1, used only with ExactRefine off), both pruning heuristics
-// enabled, no budgets. These are exactly the settings the legacy
-// KMostSimilar entry point always used.
+// DefaultOptions returns the zero Options: no exclusions, no budgets,
+// GOMAXPROCS batch workers, no trace. It is what the legacy KMostSimilar
+// entry point always used.
 func DefaultOptions() Options {
-	return Options{ExactRefine: true, Refine: 1}
+	return Options{}
 }
 
 // Request is a k-MST query: the k stored trajectories with the smallest
@@ -109,9 +107,8 @@ type Request struct {
 	// MetricEDR require (must be positive for those metrics; ignored by
 	// the others).
 	MetricEps float64
-	// Options tunes the search; use DefaultOptions() as the baseline. The
-	// zero value is also valid (the paper's trapezoid search, Lemma 1
-	// bound).
+	// Options tunes the search: exclusions, budgets, batch parallelism and
+	// the trace hook. The zero value runs the full exact search.
 	Options Options
 }
 
@@ -177,7 +174,7 @@ func (db *DB) Query(ctx context.Context, req Request) (Response, error) {
 // root-aggregate bound. +Inf means the database provably holds no
 // trajectory covering the period. A scatter-gather coordinator
 // (internal/shard) calls this per shard to prune shards whose bound
-// already exceeds the global k-th pessimistic bound; req.K and
+// already exceeds the k-th smallest DISSIM collected so far; req.K and
 // req.Options are ignored.
 func (db *DB) QueryLowerBound(ctx context.Context, req Request) (float64, error) {
 	if err := index.Canceled(ctx); err != nil {

@@ -54,7 +54,7 @@ func BenchmarkClusterQuery(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				opts := mstsearch.Options{ExactRefine: true, Refine: 1}
+				opts := mstsearch.Options{}
 				var fanout, pruned int
 				b.ResetTimer()
 				start := time.Now()
@@ -138,7 +138,7 @@ func BenchmarkReplicaQuery(b *testing.B) {
 			if mode == "failover-window" {
 				kill(c)
 			}
-			opts := mstsearch.Options{ExactRefine: true, Refine: 1}
+			opts := mstsearch.Options{}
 			var failovers int
 			var elapsed time.Duration
 			b.ResetTimer()

@@ -15,16 +15,16 @@ import (
 )
 
 // The sharded differential oracle: a Cluster's scatter-gather answer must
-// be bit-identical — same members, same order, same Dissim/Err bits, same
+// be bit-identical — same members, same order, same Dissim bits, same
 // Certified flags — to the same Request on a single DB holding every
 // trajectory, and both must match the brute-force linear-scan oracle.
 // Shard pruning and gather short-circuiting are pure optimizations; these
 // suites are the proof.
 
-// oracleOptions is the options set every differential leg shares (exact
-// refinement on, Lemma 1 bounds, serial — the bit-identity baseline).
+// oracleOptions is the options set every differential leg shares (serial —
+// the bit-identity baseline).
 func oracleOptions() mstsearch.Options {
-	return mstsearch.Options{ExactRefine: true, Refine: 1, Parallelism: 1}
+	return mstsearch.Options{Parallelism: 1}
 }
 
 // buildCluster scatters trajs into a fresh in-memory cluster.
@@ -54,7 +54,7 @@ func checkShardOracle(t *testing.T, label string, iter int, res []mstsearch.Resu
 			t.Fatalf("%s iter %d: rank %d = traj %d (%g), oracle %d (%g)",
 				label, iter, j, res[j].TrajID, res[j].Dissim, want[j].ID, want[j].Dissim)
 		}
-		tol := res[j].Err + 1e-9*(1+math.Abs(want[j].Dissim))
+		tol := 1e-9 * (1 + math.Abs(want[j].Dissim))
 		if math.Abs(res[j].Dissim-want[j].Dissim) > tol {
 			t.Fatalf("%s iter %d: traj %d dissim %g outside band ±%g of oracle %g",
 				label, iter, res[j].TrajID, res[j].Dissim, tol, want[j].Dissim)
