@@ -231,10 +231,9 @@ func snapshotEpochs(dir string) ([]uint32, error) {
 // tolerating a torn tail from a crash mid-write, and surfacing
 // ErrWALCorrupt for damage anywhere earlier in the log.
 //
-// kind selects the index structure, as in Open. TB-trees and STR-trees
-// loaded from a snapshot are rebuilt from the trajectory store on open
-// (their bundled leaves carry build-time state a snapshot does not
-// preserve), so a durable DB of any kind accepts further mutations.
+// kind selects the index structure, as in Open. The index reopens over
+// the snapshot's pages as Load leaves it, writable for every kind, and
+// the log replays into it.
 //
 // The returned DB serves queries like any other; call Close when done
 // to flush and release the log.
@@ -280,14 +279,6 @@ func OpenDurable(dir string, kind IndexKind, o DurableOptions) (*DB, error) {
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Snapshot-loaded TB/STR-trees are read-only; durable DBs must
-	// accept mutations, so rebuild them writable before replaying.
-	if epoch > 0 && kind != RTree3D {
-		if err := db.recoverLocked(); err != nil {
-			log.Close()
-			return nil, err
-		}
-	}
 	for i, rec := range records {
 		if err := db.replayLocked(rec); err != nil {
 			log.Close()

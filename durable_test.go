@@ -313,6 +313,64 @@ func TestOpenDurableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDurableReopenMatchesTwin appends at three points of a durable DB's
+// life (before a checkpoint, into the log alone, and after a reopen) and
+// requires the reopened DB to hold the pages of an in-memory twin that ran
+// the same mutations, byte for byte: a reopen keeps the snapshot's pages
+// and replays the log into them instead of rebuilding the index.
+// Trajectories are longer than one TB leaf, so tail leaves really fill.
+func TestDurableReopenMatchesTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	trajs := fleet(rng, 12, 70) // 69 segments: append round 4 chains a second 4 KiB TB leaf
+	checkpointed := appendRounds(rng, trajs, 1, 4)
+	logged := appendRounds(rng, trajs, 5, 8)
+	reopened := appendRounds(rng, trajs, 9, 12)
+	for _, kind := range []IndexKind{RTree3D, TBTree, STRTree} {
+		t.Run(kind.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := OpenDurable(dir, kind, DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin := Open(kind)
+			for _, d := range []*DB{db, twin} {
+				for i := range trajs {
+					if err := d.Add(trajs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := issueOps(d, checkpointed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range []*DB{db, twin} {
+				if _, err := issueOps(d, logged); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			re, err := OpenDurable(dir, kind, DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			for _, d := range []*DB{re, twin} {
+				if _, err := issueOps(d, reopened); err != nil {
+					t.Fatal(err)
+				}
+				checkMutatedDB(t, d)
+			}
+			sameIndexPages(t, re, twin)
+		})
+	}
+}
+
 // TestCheckpointTruncatesLog verifies the checkpoint state machine on
 // disk: a new snapshot epoch appears, old epochs' segments and snapshots
 // disappear, and the auto-trigger fires past CheckpointBytes.

@@ -312,8 +312,7 @@ func TestRecoverAfterCorruption(t *testing.T) {
 			}
 			checkExact(t, 1, res, want)
 
-			// The rebuilt index is writable even for tree kinds that load
-			// read-only from snapshots.
+			// The rebuilt index accepts further writes.
 			extra := fleet(rng, 1, 20)[0]
 			extra.ID = 9999
 			if err := db.Add(extra); err != nil {

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -12,10 +11,10 @@ import (
 )
 
 // This file is the paged-tree skeleton every index kind shares. Core owns
-// what each tree stores about itself (pager, root metadata, fan-outs, the
-// read-only flag); NodeStore adds what the MBB trees share. Each tree
-// package keeps only what defines its kind: its insertion policy, its
-// split rule and its leaf rule.
+// what each tree stores about itself (pager, root metadata, fan-outs);
+// NodeStore adds what the MBB trees share. Each tree package keeps only
+// what defines its kind: its insertion policy, its split rule and its leaf
+// rule.
 
 // Meta is the root information that reopens a tree over another pager
 // holding the same pages (a buffer pool, a restored snapshot): the root
@@ -26,16 +25,12 @@ type Meta struct {
 	Nodes  int
 }
 
-// ErrReadOnly is returned when inserting into a tree opened read-only.
-var ErrReadOnly = errors.New("index: tree opened read-only")
-
 // Core is the state every paged tree embeds. A tree sets its root only
 // through SetRoot and counts its nodes only through AllocPage, so Meta
 // always describes the pages written.
 type Core struct {
-	pager    storage.Pager
-	meta     Meta
-	readOnly bool
+	pager storage.Pager
+	meta  Meta
 	// MaxLeaf and MaxChild are the leaf and internal fan-outs of the
 	// tree's page layout.
 	MaxLeaf, MaxChild int
@@ -43,8 +38,8 @@ type Core struct {
 
 // NewCore binds a tree to a pager. m is its root metadata (Root NilPage
 // for an empty tree); maxLeaf and maxChild are its page layout's fan-outs.
-func NewCore(p storage.Pager, m Meta, maxLeaf, maxChild int, readOnly bool) Core {
-	return Core{pager: p, meta: m, readOnly: readOnly, MaxLeaf: maxLeaf, MaxChild: maxChild}
+func NewCore(p storage.Pager, m Meta, maxLeaf, maxChild int) Core {
+	return Core{pager: p, meta: m, MaxLeaf: maxLeaf, MaxChild: maxChild}
 }
 
 // Meta returns the tree's reopen information.
@@ -62,10 +57,6 @@ func (c *Core) NumNodes() int { return c.meta.Nodes }
 // Pager returns the pager the tree reads and writes through.
 func (c *Core) Pager() storage.Pager { return c.pager }
 
-// ReadOnly reports whether the tree was opened read-only and therefore
-// rejects inserts with ErrReadOnly.
-func (c *Core) ReadOnly() bool { return c.readOnly }
-
 // AllocPage allocates the page of a new node and counts the node.
 func (c *Core) AllocPage() (storage.PageID, error) {
 	id, err := c.pager.Alloc()
@@ -82,15 +73,15 @@ func (c *Core) SetRoot(page storage.PageID, height int) {
 }
 
 // NodeStore is the Core of an MBB tree (3D R-tree, TB-tree, STR-tree): it
-// adds node reads, allocation and writes in the MBB codec, the invariant
-// walk and the leaf path. It is a type of its own so that the N-tree,
-// whose pages use the metric codec, never satisfies Tree.
+// adds node reads, allocation and writes in the MBB codec, the tree walk
+// and the leaf path. It is a type of its own so that the N-tree, whose
+// pages use the metric codec, never satisfies Tree.
 type NodeStore struct{ Core }
 
 // NewNodeStore binds an MBB tree to a pager with the MBB codec's fan-outs.
-func NewNodeStore(p storage.Pager, m Meta, readOnly bool) NodeStore {
+func NewNodeStore(p storage.Pager, m Meta) NodeStore {
 	ps := p.PageSize()
-	return NodeStore{NewCore(p, m, MaxLeafEntries(ps), MaxChildEntries(ps), readOnly)}
+	return NodeStore{NewCore(p, m, MaxLeafEntries(ps), MaxChildEntries(ps))}
 }
 
 // ReadNode implements Tree.
@@ -118,6 +109,40 @@ type Shape struct {
 	Leaf func(*Node) error
 }
 
+// Walk passes every node to visit once, parents first, with its depth (1
+// at the root) and the step that reached it (zero at the root): the one
+// tree walk, behind CheckInvariants and TB-/STR-tree build-state recovery.
+// An undecodable page, an empty node or a node below the height stops it
+// with an error wrapping ErrCorruptNode, or with the pager's own error.
+func (s *NodeStore) Walk(visit func(n *Node, depth int, up PathStep) error) error {
+	var walk func(id storage.PageID, depth int, up PathStep) error
+	walk = func(id storage.PageID, depth int, up PathStep) error {
+		if depth > s.meta.Height {
+			return fmt.Errorf("%w: node %d below the tree's height %d", ErrCorruptNode, id, s.meta.Height)
+		}
+		n, err := s.ReadNode(id)
+		if err != nil {
+			return err
+		}
+		if n.Len() == 0 {
+			return fmt.Errorf("%w: node %d holds no entries", ErrCorruptNode, id)
+		}
+		if err := visit(n, depth, up); err != nil {
+			return err
+		}
+		for i, c := range n.Children {
+			if err := walk(c.Page, depth+1, PathStep{Node: n, Child: i}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if s.meta.Root == storage.NilPage {
+		return nil
+	}
+	return walk(s.meta.Root, 1, PathStep{})
+}
+
 // CheckInvariants walks the whole tree verifying that each parent entry
 // contains its node's bound, every leaf sits at the tree's height, every
 // node's occupancy lies within the fan-out and shape's minimum (an
@@ -125,25 +150,17 @@ type Shape struct {
 // entry), every leaf passes shape.Leaf, and the node counter matches the
 // walk. It returns the total number of leaf entries.
 func (s *NodeStore) CheckInvariants(shape Shape) (int, error) {
-	if s.meta.Root == storage.NilPage {
-		if s.meta.Height != 0 || s.meta.Nodes != 0 {
-			return 0, fmt.Errorf("index: empty tree with height %d nodes %d", s.meta.Height, s.meta.Nodes)
-		}
-		return 0, nil
+	if s.meta.Root == storage.NilPage && s.meta.Height != 0 {
+		return 0, fmt.Errorf("index: empty tree with height %d", s.meta.Height)
 	}
 	entries, visited := 0, 0
-	var walk func(id storage.PageID, depth int, bound geom.MBB) error
-	walk = func(id storage.PageID, depth int, bound geom.MBB) error {
-		n, err := s.ReadNode(id)
-		if err != nil {
-			return err
-		}
+	err := s.Walk(func(n *Node, depth int, up PathStep) error {
 		visited++
-		if depth > 1 && !bound.Contains(n.MBB()) {
-			return fmt.Errorf("index: node %d not contained in its parent entry", id)
+		if up.Node != nil && !up.Node.Children[up.Child].MBB.Contains(n.MBB()) {
+			return fmt.Errorf("index: node %d not contained in its parent entry", n.Page)
 		}
 		if n.Leaf && depth != s.meta.Height {
-			return fmt.Errorf("index: leaf %d at depth %d, height %d", id, depth, s.meta.Height)
+			return fmt.Errorf("index: leaf %d at depth %d, height %d", n.Page, depth, s.meta.Height)
 		}
 		lo, hi := shape.MinChild, s.MaxChild
 		if n.Leaf {
@@ -155,9 +172,8 @@ func (s *NodeStore) CheckInvariants(shape Shape) (int, error) {
 				lo = 1
 			}
 		}
-		lo = max(lo, 1)
 		if count := n.Len(); count < lo || count > hi {
-			return fmt.Errorf("index: node %d holds %d entries, outside [%d, %d]", id, count, lo, hi)
+			return fmt.Errorf("index: node %d holds %d entries, outside [%d, %d]", n.Page, count, lo, hi)
 		}
 		if n.Leaf {
 			if shape.Leaf != nil {
@@ -166,16 +182,10 @@ func (s *NodeStore) CheckInvariants(shape Shape) (int, error) {
 				}
 			}
 			entries += len(n.Leaves)
-			return nil
-		}
-		for _, c := range n.Children {
-			if err := walk(c.Page, depth+1, c.MBB); err != nil {
-				return err
-			}
 		}
 		return nil
-	}
-	if err := walk(s.meta.Root, 1, geom.EmptyMBB()); err != nil {
+	})
+	if err != nil {
 		return 0, err
 	}
 	if visited != s.meta.Nodes {

@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -147,6 +148,61 @@ func TestCheckInvariantsReportsCorruption(t *testing.T) {
 				_, err := kind.open(p, m).CheckInvariants()
 				if err == nil || !strings.Contains(err.Error(), c.want) {
 					t.Fatalf("CheckInvariants = %v, want an error containing %q", err, c.want)
+				}
+			})
+		}
+	}
+}
+
+// TestFirstInsertAfterOpenReportsDamage damages one leaf of a reopened
+// TB- or STR-tree and requires the first insert, whose walk recovers the
+// build state, to return a typed error instead of panicking.
+func TestFirstInsertAfterOpenReportsDamage(t *testing.T) {
+	fleet := gstd.Generate(gstd.Config{NumObjects: 12, SamplesPerObject: 40, Seed: 6}).Trajs
+	extra := gstd.Generate(gstd.Config{NumObjects: 1, SamplesPerObject: 10, Seed: 7}).Trajs[0]
+	extra.ID = 999
+	damages := []struct {
+		name   string
+		damage func(t *testing.T, f *storage.File, leaf *index.Node)
+	}{
+		{"leaf does not decode", func(t *testing.T, f *storage.File, leaf *index.Node) {
+			buf, err := f.Read(leaf.Page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := append([]byte(nil), buf...)
+			bad[1], bad[2] = 0xFF, 0xFF // an entry count no page holds
+			if err := f.Write(leaf.Page, bad); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"leaf holds no entries", func(t *testing.T, f *storage.File, leaf *index.Node) {
+			leaf.Leaves = nil
+			writeNode(t, f, leaf)
+		}},
+		{"leaf fails its checksum", func(t *testing.T, f *storage.File, leaf *index.Node) {
+			if err := f.CorruptPage(leaf.Page, 20); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, kind := range mbbKinds {
+		if kind.name == "rtree" {
+			continue // keeps no build state, so its insert walks nothing
+		}
+		for _, d := range damages {
+			t.Run(kind.name+"/"+d.name, func(t *testing.T) {
+				f := storage.NewFile(1024)
+				tr := kind.build(f)
+				for i := range fleet {
+					if err := tr.InsertTrajectory(&fleet[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				d.damage(t, f, firstLeaf(t, f, tr.Meta().Root))
+				err := kind.open(f, tr.Meta()).InsertTrajectory(&extra)
+				if !errors.Is(err, index.ErrCorruptNode) && !errors.As(err, new(storage.ErrPageCorrupt)) {
+					t.Fatalf("first insert after Open = %v, want a typed corruption error", err)
 				}
 			})
 		}

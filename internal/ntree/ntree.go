@@ -21,10 +21,10 @@
 // node splits recompute the affected radii by enumerating the subtree's
 // members — O(subtree) per split, the price of exactness.
 //
-// Like the TB-tree and STR-tree, a reopened tree is read-only; the DB
-// layer rebuilds the index to mutate a loaded store. Nodes share the page
-// store and CRC discipline of the MBB trees via the metric node codec in
-// internal/index (flag bit1).
+// The tree keeps no build state beyond its pages, so a reopened tree
+// accepts inserts like a fresh one. Nodes share the page store and CRC
+// discipline of the MBB trees via the metric node codec in internal/index
+// (flag bit1).
 package ntree
 
 import (
@@ -53,17 +53,13 @@ type Tree struct {
 
 // New creates an empty N-tree on the pager.
 func New(pager storage.Pager, lookup Lookup) *Tree {
-	return newTree(pager, index.Meta{Root: storage.NilPage}, lookup, false)
+	return Open(pager, index.Meta{Root: storage.NilPage}, lookup)
 }
 
-// Open reattaches a built tree to a pager for reading.
+// Open reattaches a built tree, writable, to a pager over its pages.
 func Open(pager storage.Pager, m index.Meta, lookup Lookup) *Tree {
-	return newTree(pager, m, lookup, true)
-}
-
-func newTree(pager storage.Pager, m index.Meta, lookup Lookup, readOnly bool) *Tree {
 	ps := pager.PageSize()
-	core := index.NewCore(pager, m, index.MaxMetricLeafEntries(ps), index.MaxMetricChildEntries(ps), readOnly)
+	core := index.NewCore(pager, m, index.MaxMetricLeafEntries(ps), index.MaxMetricChildEntries(ps))
 	return &Tree{Core: core, lookup: lookup}
 }
 
@@ -128,9 +124,6 @@ type step struct {
 // inserted exactly once; the tree records the ID, sample count, MBB and
 // pivot distance, never the geometry itself.
 func (t *Tree) InsertTrajectory(tr *trajectory.Trajectory) error {
-	if t.ReadOnly() {
-		return index.ErrReadOnly
-	}
 	if len(tr.Samples) < 2 {
 		return fmt.Errorf("ntree: trajectory %d has %d samples, need >= 2", tr.ID, len(tr.Samples))
 	}

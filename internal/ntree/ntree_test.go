@@ -1,12 +1,11 @@
 package ntree
 
 import (
-	"errors"
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 
-	"mstsearch/internal/index"
 	"mstsearch/internal/storage"
 	"mstsearch/internal/trajectory"
 )
@@ -55,29 +54,64 @@ func TestBuildInvariants(t *testing.T) {
 	}
 }
 
-// TestOpenReadOnly: a reopened tree serves reads over the same pages but
-// rejects inserts with ErrReadOnly.
-func TestOpenReadOnly(t *testing.T) {
+// TestReopenThenInsert reopens a tree with Open part-way through a build
+// and requires the rest of the build to write exactly the pages of a tree
+// that was never reopened: the N-tree keeps no build state off its pages.
+func TestReopenThenInsert(t *testing.T) {
 	trajs, lookup := makeFleet(60, 9, 3)
-	file := storage.NewFile(512)
-	tr := New(file, lookup)
+	twinFile := storage.NewFile(512)
+	twin := New(twinFile, lookup)
+	split := -1
 	for i := range trajs {
-		if err := tr.InsertTrajectory(&trajs[i]); err != nil {
+		nodes := twin.NumNodes()
+		if err := twin.InsertTrajectory(&trajs[i]); err != nil {
 			t.Fatal(err)
 		}
+		if split < 0 && i > 0 && twin.NumNodes() > nodes {
+			split = i + 1
+		}
 	}
-	ro := Open(file, tr.Meta(), lookup)
-	if !ro.ReadOnly() {
-		t.Fatal("Open returned a writable tree")
+	if split < 0 {
+		t.Fatal("the build never split a node")
 	}
-	if ro.Meta() != tr.Meta() {
-		t.Fatalf("meta drifted across reopen: %+v vs %+v", ro.Meta(), tr.Meta())
-	}
-	if err := ro.CheckInvariants(); err != nil {
-		t.Fatalf("reopened tree fails invariants: %v", err)
-	}
-	if err := ro.InsertTrajectory(&trajs[0]); !errors.Is(err, index.ErrReadOnly) {
-		t.Fatalf("insert on reopened tree: %v, want ErrReadOnly", err)
+
+	for _, c := range []struct {
+		name   string
+		reopen func(i int) bool // reopen before inserting trajs[i]
+	}{
+		{"empty tree", func(i int) bool { return i == 0 }},
+		{"half-built tree", func(i int) bool { return i == len(trajs)/2 }},
+		{"just after a split", func(i int) bool { return i == split }},
+		{"before every insert", func(int) bool { return true }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := storage.NewFile(512)
+			tr := New(f, lookup)
+			for i := range trajs {
+				if c.reopen(i) {
+					tr = Open(f, tr.Meta(), lookup)
+				}
+				if err := tr.InsertTrajectory(&trajs[i]); err != nil {
+					t.Fatalf("insert %d: %v", i, err)
+				}
+			}
+			if tr.Meta() != twin.Meta() {
+				t.Fatalf("meta %+v, never-reopened twin %+v", tr.Meta(), twin.Meta())
+			}
+			if f.NumPages() != twinFile.NumPages() {
+				t.Fatalf("%d pages, twin %d", f.NumPages(), twinFile.NumPages())
+			}
+			for id := storage.PageID(0); int(id) < f.NumPages(); id++ {
+				a, errA := f.Read(id)
+				b, errB := twinFile.Read(id)
+				if errA != nil || errB != nil || !bytes.Equal(a, b) {
+					t.Fatalf("page %d differs from the never-reopened twin (%v, %v)", id, errA, errB)
+				}
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -19,8 +19,7 @@ import (
 const MinFillRatio = 0.4
 
 // Tree is a 3D R-tree bound to a pager. Unlike the TB-tree and the
-// STR-tree it needs no build-time state, so a reopened tree stays
-// writable.
+// STR-tree it keeps no build state: its insert needs only the pages.
 type Tree struct {
 	index.NodeStore
 	minLeaf  int
@@ -34,7 +33,7 @@ func New(pager storage.Pager) *Tree { return Open(pager, index.Meta{Root: storag
 // Open reattaches a previously built tree (identified by its Meta) to a
 // pager over the same underlying pages.
 func Open(pager storage.Pager, m index.Meta) *Tree {
-	t := &Tree{NodeStore: index.NewNodeStore(pager, m, false)}
+	t := &Tree{NodeStore: index.NewNodeStore(pager, m)}
 	t.minLeaf = int(math.Max(1, math.Floor(MinFillRatio*float64(t.MaxLeaf))))
 	t.minChild = int(math.Max(1, math.Floor(MinFillRatio*float64(t.MaxChild))))
 	return t

@@ -136,11 +136,9 @@ func envelopeFor(err error) (int, ErrorBody) {
 			Code: CodeCorrupt, Message: err.Error(), Retryable: false,
 		}
 	case errors.Is(err, storage.ErrPageOutOfRange) || errors.Is(err, storage.ErrBadPageSize) ||
-		errors.Is(err, storage.ErrPageTooSmall) || errors.Is(err, storage.ErrFileFull) ||
-		errors.Is(err, index.ErrReadOnly):
+		errors.Is(err, storage.ErrPageTooSmall) || errors.Is(err, storage.ErrFileFull):
 		// Pager misuse or exhaustion escaping the library is a bug in the
-		// serving path, not a client problem. So is a write reaching a
-		// snapshot-loaded index that was never rebuilt writable.
+		// serving path, not a client problem.
 		return http.StatusInternalServerError, ErrorBody{
 			Code: CodeInternal, Message: err.Error(), Retryable: false,
 		}

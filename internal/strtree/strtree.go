@@ -27,8 +27,9 @@ import (
 )
 
 // Tree is an STR-tree bound to a pager. The per-trajectory tail table and
-// the parent pointers are build-time state; a reopened tree is read-only
-// and never allocates them.
+// the parent pointers are build state: Open leaves them nil, and only the
+// first Insert recovers them from the pages (the parent map is set last,
+// once the walk succeeds).
 type Tree struct {
 	index.NodeStore
 
@@ -38,24 +39,39 @@ type Tree struct {
 }
 
 // New creates an empty STR-tree on the pager.
-func New(pager storage.Pager) *Tree {
-	return &Tree{
-		NodeStore: index.NewNodeStore(pager, index.Meta{Root: storage.NilPage}, false),
-		tail:      make(map[trajectory.ID]storage.PageID),
-		tailSeq:   make(map[trajectory.ID]uint32),
-		parent:    make(map[storage.PageID]storage.PageID),
-	}
+func New(pager storage.Pager) *Tree { return Open(pager, index.Meta{Root: storage.NilPage}) }
+
+// Open reattaches a built tree, writable, to a pager over its pages.
+func Open(pager storage.Pager, m index.Meta) *Tree {
+	return &Tree{NodeStore: index.NewNodeStore(pager, m)}
 }
 
-// Open reattaches a built tree to a pager for reading.
-func Open(pager storage.Pager, m index.Meta) *Tree {
-	return &Tree{NodeStore: index.NewNodeStore(pager, m, true)}
+// recoverMaps derives the build state with one walk of the pages: a
+// trajectory's tail is the leaf holding its largest SeqNo, tailSeq is that
+// SeqNo, and a node's parent is the node whose entry names it.
+func (t *Tree) recoverMaps() error {
+	t.tail = make(map[trajectory.ID]storage.PageID)
+	t.tailSeq = make(map[trajectory.ID]uint32)
+	parent := make(map[storage.PageID]storage.PageID)
+	err := t.Walk(func(n *index.Node, _ int, up index.PathStep) error {
+		if up.Node != nil {
+			parent[n.Page] = up.Node.Page
+		}
+		t.refreshTails(n)
+		return nil
+	})
+	if err == nil {
+		t.parent = parent
+	}
+	return err
 }
 
 // Insert adds one segment, preferring the predecessor's leaf.
 func (t *Tree) Insert(e index.LeafEntry) error {
-	if t.ReadOnly() {
-		return index.ErrReadOnly
+	if t.parent == nil {
+		if err := t.recoverMaps(); err != nil {
+			return err
+		}
 	}
 	if t.Root() == storage.NilPage {
 		root, err := t.AllocNode(true)

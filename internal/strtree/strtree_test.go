@@ -1,7 +1,7 @@
 package strtree
 
 import (
-	"errors"
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -157,20 +157,83 @@ func TestTrajectoryClustering(t *testing.T) {
 	}
 }
 
-func TestOpenReadOnly(t *testing.T) {
+// TestReopenThenInsert reopens a tree with Open part-way through an
+// interleaved build and requires the rest of the build to write exactly
+// the pages of a tree that was never reopened: the first Insert after Open
+// must recover the tail table, the tail SeqNos and the parent pointers the
+// uninterrupted build kept in memory.
+func TestReopenThenInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	f := storage.NewFile(1024)
-	tr := New(f)
-	traj := randTraj(rng, 1, 60)
-	if err := tr.InsertTrajectory(&traj); err != nil {
-		t.Fatal(err)
+	var trajs []trajectory.Trajectory
+	for id := 1; id <= 6; id++ {
+		trajs = append(trajs, randTraj(rng, trajectory.ID(id), 50))
 	}
-	view := Open(storage.NewStripedPool(f, 4, 1), tr.Meta())
-	if _, err := view.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	// Round-robin segments, as live position updates arrive.
+	var entries []index.LeafEntry
+	for s := 0; s < 49; s++ {
+		for i := range trajs {
+			entries = append(entries, index.LeafEntry{TrajID: trajs[i].ID, SeqNo: uint32(s), Seg: trajs[i].Segment(s)})
+		}
 	}
-	if err := view.Insert(index.LeafEntry{}); !errors.Is(err, index.ErrReadOnly) {
-		t.Fatalf("insert into reopened tree = %v", err)
+
+	twinFile := storage.NewFile(1024) // leaf fan-out 18
+	twin := New(twinFile)
+	halfFull, split := -1, -1
+	for i, e := range entries {
+		if tail, ok := twin.tail[e.TrajID]; ok && halfFull < 0 {
+			if n, err := twin.ReadNode(tail); err == nil && len(n.Leaves) == twin.MaxLeaf/2 {
+				halfFull = i
+			}
+		}
+		nodes := twin.NumNodes()
+		if err := twin.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+		if split < 0 && i > 0 && twin.NumNodes() > nodes {
+			split = i + 1
+		}
+	}
+	if halfFull < 0 || split < 0 {
+		t.Fatalf("the build never reached a reopen point: half-full %d, split %d", halfFull, split)
+	}
+
+	for _, c := range []struct {
+		name   string
+		reopen func(i int) bool // reopen before inserting entries[i]
+	}{
+		{"empty tree", func(i int) bool { return i == 0 }},
+		{"half-full tail leaf", func(i int) bool { return i == halfFull }},
+		{"just after a time split", func(i int) bool { return i == split }},
+		{"before every insert", func(int) bool { return true }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := storage.NewFile(1024)
+			tr := New(f)
+			for i, e := range entries {
+				if c.reopen(i) {
+					tr = Open(f, tr.Meta())
+				}
+				if err := tr.Insert(e); err != nil {
+					t.Fatalf("insert %d: %v", i, err)
+				}
+			}
+			if tr.Meta() != twin.Meta() {
+				t.Fatalf("meta %+v, never-reopened twin %+v", tr.Meta(), twin.Meta())
+			}
+			if f.NumPages() != twinFile.NumPages() {
+				t.Fatalf("%d pages, twin %d", f.NumPages(), twinFile.NumPages())
+			}
+			for id := storage.PageID(0); int(id) < f.NumPages(); id++ {
+				a, errA := f.Read(id)
+				b, errB := twinFile.Read(id)
+				if errA != nil || errB != nil || !bytes.Equal(a, b) {
+					t.Fatalf("page %d differs from the never-reopened twin (%v, %v)", id, errA, errB)
+				}
+			}
+			if _, err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -238,8 +301,8 @@ func TestGenericRangeSearchOnSTRTree(t *testing.T) {
 
 var viewSink *Tree
 
-// TestOpenAllocatesOnlyTheCore: a read view rejects inserts before it
-// would touch the build state, so opening one builds the core alone.
+// TestOpenAllocatesOnlyTheCore: Open leaves the build state to the first
+// Insert, so opening a per-query read view builds the core alone.
 func TestOpenAllocatesOnlyTheCore(t *testing.T) {
 	f := storage.NewFile(1024)
 	tr := New(f)

@@ -26,8 +26,9 @@ import (
 )
 
 // Tree is a TB-tree bound to a pager. The per-trajectory tail-leaf table
-// and the parent pointers are build-time state; a reopened tree is
-// read-only and never allocates them.
+// and the parent pointers are build state: Open leaves them nil, and only
+// the first Insert recovers them from the pages (the parent map is set
+// last, once the walk succeeds).
 type Tree struct {
 	index.NodeStore
 
@@ -37,25 +38,42 @@ type Tree struct {
 }
 
 // New creates an empty TB-tree on the pager.
-func New(pager storage.Pager) *Tree {
-	return &Tree{
-		NodeStore: index.NewNodeStore(pager, index.Meta{Root: storage.NilPage}, false),
-		tail:      make(map[trajectory.ID]storage.PageID),
-		parent:    make(map[storage.PageID]storage.PageID),
-	}
+func New(pager storage.Pager) *Tree { return Open(pager, index.Meta{Root: storage.NilPage}) }
+
+// Open reattaches a built tree, writable, to a pager over its pages.
+func Open(pager storage.Pager, m index.Meta) *Tree {
+	return &Tree{NodeStore: index.NewNodeStore(pager, m)}
 }
 
-// Open reattaches a built tree to a pager for reading.
-func Open(pager storage.Pager, m index.Meta) *Tree {
-	return &Tree{NodeStore: index.NewNodeStore(pager, m, true)}
+// recoverMaps derives the build state with one walk of the pages: a
+// trajectory's tail is its leaf with no successor, and a node's parent is
+// the node whose entry names it.
+func (t *Tree) recoverMaps() error {
+	t.tail = make(map[trajectory.ID]storage.PageID)
+	parent := make(map[storage.PageID]storage.PageID)
+	err := t.Walk(func(n *index.Node, _ int, up index.PathStep) error {
+		if up.Node != nil {
+			parent[n.Page] = up.Node.Page
+		}
+		if n.Leaf && n.NextLeaf == storage.NilPage {
+			t.tail[n.Leaves[0].TrajID] = n.Page
+		}
+		return nil
+	})
+	if err == nil {
+		t.parent = parent
+	}
+	return err
 }
 
 // Insert appends one segment. Segments of each trajectory must arrive in
 // temporal order (their natural order); interleaving different
 // trajectories is fine.
 func (t *Tree) Insert(e index.LeafEntry) error {
-	if t.ReadOnly() {
-		return index.ErrReadOnly
+	if t.parent == nil {
+		if err := t.recoverMaps(); err != nil {
+			return err
+		}
 	}
 	// Fast path: the trajectory's tail leaf has room.
 	if tailID, ok := t.tail[e.TrajID]; ok {
@@ -246,7 +264,7 @@ func (t *Tree) WalkChain(tailID storage.PageID) ([]storage.PageID, error) {
 	return rev, nil
 }
 
-// TailLeaf returns the newest leaf of a trajectory (build-time only).
+// TailLeaf returns the newest leaf of a trajectory (build state only).
 func (t *Tree) TailLeaf(id trajectory.ID) (storage.PageID, bool) {
 	p, ok := t.tail[id]
 	return p, ok

@@ -301,7 +301,7 @@ func Open(kind IndexKind) *DB {
 		kind = RTree3D
 	}
 	db := &DB{kind: kind, file: storage.NewFile(storage.DefaultPageSize), byID: map[ID]int{}}
-	db.eng = db.newEngine(kind, db.file)
+	db.eng = db.newEngine(kind, db.file, index.Meta{Root: storage.NilPage})
 	db.invalidate()
 	return db
 }
@@ -446,8 +446,7 @@ func (db *DB) applyAppendLocked(i int, s Sample) error {
 // trajectory store — the repair path after a query surfaces
 // ErrPageCorrupt. The damaged page file is discarded and replaced by a
 // freshly built one; the trajectory store is the source of truth, so no
-// data is lost. Recover also makes a snapshot-loaded TB-tree or STR-tree
-// writable again (Load opens them read-only).
+// data is lost.
 //
 // Recover takes the write lock: in-flight queries finish against the old
 // file first, and queries started after Recover returns see the rebuilt
@@ -459,12 +458,11 @@ func (db *DB) Recover() error {
 }
 
 // recoverLocked rebuilds the paged index from the trajectory store — the
-// body of Recover, shared with the durable open path (which must make a
-// snapshot-loaded TB-tree or STR-tree writable before replaying the
-// log). Callers must hold db.mu (write side).
+// body of Recover, shared with the N-tree append path
+// (errRebuildRequired). Callers must hold db.mu (write side).
 func (db *DB) recoverLocked() error {
 	file := storage.NewFile(db.file.PageSize())
-	eng := db.newEngine(db.kind, file)
+	eng := db.newEngine(db.kind, file, index.Meta{Root: storage.NilPage})
 	for i := range db.trajs {
 		if err := eng.insertTrajectory(&db.trajs[i]); err != nil {
 			return fmt.Errorf("mstsearch: recover: %w", err)

@@ -194,7 +194,8 @@ func WriteFileAtomic(path string, data []byte) (err error) {
 func (db *DB) indexMeta() index.Meta { return db.eng.meta() }
 
 // Load reads a database snapshot written by Save. The returned DB serves
-// queries; further Adds go to the same in-memory page file.
+// queries, and further Adds and appends go to the same in-memory page file
+// whatever the index kind.
 func Load(path string) (*DB, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -305,12 +306,8 @@ func Load(path string) (*DB, error) {
 		return nil, ErrSnapshotCRC
 	}
 
-	// Rebind the tree to the restored pages. A loaded 3D R-tree remains
-	// writable (its insert needs no build-time state); the other kinds
-	// reopen read-only — their build-time state (per-trajectory tail
-	// tables, pivot assignments) is not in the snapshot — so mutations on
-	// those return index.ErrReadOnly until a Recover rebuilds.
-	db.eng = db.openEngine(db.kind, db.file, index.Meta{
+	// Rebind the tree to the restored pages, writable like a fresh one.
+	db.eng = db.newEngine(db.kind, db.file, index.Meta{
 		Root: storage.PageID(root), Height: int(height), Nodes: int(nodes),
 	})
 	db.invalidate()

@@ -127,49 +127,31 @@ type indexEngine interface {
 	insertTrajectory(tr *Trajectory) error
 	// appendSegment indexes one new tail segment (the AppendSample
 	// path); tr already includes the new sample. Engines that cannot
-	// append incrementally return errRebuildRequired, and read-only
-	// loaded engines return index.ErrReadOnly.
+	// append incrementally return errRebuildRequired.
 	appendSegment(e index.LeafEntry, tr *Trajectory) error
 }
 
-// newEngine builds a fresh, writable engine of the given kind over the
-// page file. The DB's trajectory store backs metric engines' geometry
-// lookups; callers must hold db.mu (write side) while mutating through
-// the engine.
-func (db *DB) newEngine(kind IndexKind, file storage.Pager) indexEngine {
+// newEngine binds a writable engine of the given kind to the tree m
+// describes in the page file (Root NilPage for an empty tree). The DB's
+// trajectory store backs metric engines' geometry lookups; callers must
+// hold db.mu (write side) while mutating through the engine.
+func (db *DB) newEngine(kind IndexKind, file storage.Pager, m index.Meta) indexEngine {
+	open := openRTree
 	switch kind {
-	case TBTree:
-		return &mbbEngine{t: tbtree.New(file), open: openTBTree}
-	case STRTree:
-		return &mbbEngine{t: strtree.New(file), open: openSTRTree}
 	case NTree:
-		return &ntreeEngine{t: ntree.New(file, db.lookupLocked)}
-	default:
-		return &mbbEngine{t: rtree.New(file), open: openRTree}
+		return &ntreeEngine{t: ntree.Open(file, m, db.lookupLocked)}
+	case TBTree:
+		open = openTBTree
+	case STRTree:
+		open = openSTRTree
 	}
+	return &mbbEngine{t: open(file, m), open: open}
 }
 
 // lookupLocked resolves a trajectory ID against the store for the metric
 // engine. It runs inside engine calls, which the DB only makes under
 // db.mu, so the unlocked get is safe.
 func (db *DB) lookupLocked(id ID) *Trajectory { return db.get(id) }
-
-// openEngine rebinds a snapshot's engine over its restored page file. A
-// reopened 3D R-tree stays writable; the other kinds reopen read-only
-// (their build-time state is not in the snapshot), rejecting mutations
-// with index.ErrReadOnly until a Recover rebuilds them.
-func (db *DB) openEngine(kind IndexKind, file storage.Pager, m index.Meta) indexEngine {
-	switch kind {
-	case TBTree:
-		return &mbbEngine{t: tbtree.Open(file, m), open: openTBTree}
-	case STRTree:
-		return &mbbEngine{t: strtree.Open(file, m), open: openSTRTree}
-	case NTree:
-		return &ntreeEngine{t: ntree.Open(file, m, db.lookupLocked)}
-	default:
-		return &mbbEngine{t: rtree.Open(file, m), open: openRTree}
-	}
-}
 
 // mbbTree is what the DB needs of an MBB tree kind: the k-MST read
 // interface, its reopen information and its insertion.
@@ -213,10 +195,5 @@ func (e *ntreeEngine) view(p storage.Pager) index.Index {
 func (e *ntreeEngine) insertTrajectory(tr *Trajectory) error { return e.t.InsertTrajectory(tr) }
 
 func (e *ntreeEngine) appendSegment(_ index.LeafEntry, _ *Trajectory) error {
-	// A loaded tree behaves like the loaded TB/STR trees: appends are
-	// rejected until a Recover rebuilds it writable.
-	if e.t.ReadOnly() {
-		return index.ErrReadOnly
-	}
 	return errRebuildRequired
 }
