@@ -24,7 +24,10 @@ import (
 // algorithm, as internal/experiments runs it) and through DB.Query, and
 // the N-tree through DB.Query under DISSIM and DTW. Windows are 5 % with
 // the query sliced from a stored trajectory, and 25 % with a foreign
-// query; k is 1, 5 and 10. Everything runs on one goroutine, so a change
+// query; k is 1, 5 and 10. A last leg, prefixed "long", runs the 25 %
+// foreign queries on a fleet of few long trajectories (40 × 1001 samples)
+// over the three MBB kinds, where most leaves hold one trajectory's
+// segments only. Everything runs on one goroutine, so a change
 // that leaves pruning alone leaves testdata/counts.golden byte for byte
 // unchanged, and one that moves it shows its exact delta in the diff.
 //
@@ -35,46 +38,17 @@ import (
 func TestSearchCountsGolden(t *testing.T) {
 	stored := gstd.Generate(gstd.Config{NumObjects: 120, SamplesPerObject: 81, Seed: 31}).Trajs
 	foreign := gstd.Generate(gstd.Config{NumObjects: 8, SamplesPerObject: 81, Seed: 32}).Trajs
-	queries := countsQueries(t, stored, foreign)
+	queries := countsQueries(t, 33, []countsShape{{"twin5", stored, 0.05}, {"foreign25", foreign, 0.25}})
 
 	var b strings.Builder
 	for _, kind := range IndexKinds() {
-		db, err := NewDB(kind, stored)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if kind.Metric() {
-			for _, m := range []Metric{MetricDISSIM, MetricDTW} {
-				countsLeg(t, &b, fmt.Sprintf("%s DB.Query %s", kind, m), queries, func(q countsQuery, k int) countsLine {
-					return countsViaQuery(t, db, q, k, m)
-				})
-			}
-			continue
-		}
-		tree, ok := db.view().(index.Tree)
-		if !ok {
-			t.Fatalf("%s: view is not an index.Tree", kind)
-		}
-		countsLeg(t, &b, fmt.Sprintf("%s mst.Search", kind), queries, func(q countsQuery, k int) countsLine {
-			opts := mst.Options{K: k, Vmax: db.vmax + q.q.MaxSpeed(), Refine: 1}
-			res, st, err := mst.Search(tree, q.q, q.t1, q.t2, opts)
-			if err != nil {
-				t.Fatalf("%s raw search: %v", kind, err)
-			}
-			l := countsLine{
-				nodes: st.NodesAccessed, leaves: st.LeavesAccessed, enqueued: st.Enqueued,
-				completed: st.Completed, rejected: st.Rejected, exact: st.ExactRefined,
-				trapezoids: st.TrapezoidEvals, early: st.TerminatedEarly, floor: st.CertFloor,
-			}
-			for _, r := range res {
-				l.ids = append(l.ids, r.TrajID)
-				l.dists = append(l.dists, r.Dissim)
-			}
-			return l
-		})
-		countsLeg(t, &b, fmt.Sprintf("%s DB.Query", kind), queries, func(q countsQuery, k int) countsLine {
-			return countsViaQuery(t, db, q, k, MetricDISSIM)
-		})
+		countsKind(t, &b, "", kind, stored, queries)
+	}
+	long := gstd.Generate(gstd.Config{NumObjects: 40, SamplesPerObject: 1001, Seed: 34}).Trajs
+	longForeign := gstd.Generate(gstd.Config{NumObjects: 8, SamplesPerObject: 1001, Seed: 35}).Trajs
+	longQueries := countsQueries(t, 36, []countsShape{{"foreign25", longForeign, 0.25}})
+	for _, kind := range []IndexKind{RTree3D, TBTree, STRTree} {
+		countsKind(t, &b, "long ", kind, long, longQueries)
 	}
 
 	got := b.String()
@@ -97,6 +71,49 @@ func TestSearchCountsGolden(t *testing.T) {
 	}
 }
 
+// countsKind builds a DB of the kind over stored and appends its legs,
+// each line prefixed with prefix: the raw paper search and DB.Query for an
+// MBB kind, DB.Query under DISSIM and DTW for the metric kind.
+func countsKind(t *testing.T, b *strings.Builder, prefix string, kind IndexKind, stored []Trajectory, queries []countsQuery) {
+	t.Helper()
+	db, err := NewDB(kind, stored)
+	if err != nil {
+		t.Fatalf("%s: %v", kind, err)
+	}
+	if kind.Metric() {
+		for _, m := range []Metric{MetricDISSIM, MetricDTW} {
+			countsLeg(t, b, fmt.Sprintf("%s%s DB.Query %s", prefix, kind, m), queries, func(q countsQuery, k int) countsLine {
+				return countsViaQuery(t, db, q, k, m)
+			})
+		}
+		return
+	}
+	tree, ok := db.view().(index.Tree)
+	if !ok {
+		t.Fatalf("%s: view is not an index.Tree", kind)
+	}
+	countsLeg(t, b, fmt.Sprintf("%s%s mst.Search", prefix, kind), queries, func(q countsQuery, k int) countsLine {
+		opts := mst.Options{K: k, Vmax: db.vmax + q.q.MaxSpeed(), Refine: 1}
+		res, st, err := mst.Search(tree, q.q, q.t1, q.t2, opts)
+		if err != nil {
+			t.Fatalf("%s raw search: %v", kind, err)
+		}
+		l := countsLine{
+			nodes: st.NodesAccessed, leaves: st.LeavesAccessed, enqueued: st.Enqueued,
+			completed: st.Completed, rejected: st.Rejected, exact: st.ExactRefined,
+			trapezoids: st.TrapezoidEvals, early: st.TerminatedEarly, floor: st.CertFloor,
+		}
+		for _, r := range res {
+			l.ids = append(l.ids, r.TrajID)
+			l.dists = append(l.dists, r.Dissim)
+		}
+		return l
+	})
+	countsLeg(t, b, fmt.Sprintf("%s%s DB.Query", prefix, kind), queries, func(q countsQuery, k int) countsLine {
+		return countsViaQuery(t, db, q, k, MetricDISSIM)
+	})
+}
+
 // countsQuery is one query of the golden workload.
 type countsQuery struct {
 	name   string
@@ -104,17 +121,22 @@ type countsQuery struct {
 	t1, t2 float64
 }
 
-// countsQueries draws the workload: four 5 % windows sliced from stored
-// trajectories (each query's twin is in the index) and four 25 % windows
-// sliced from a foreign fleet.
-func countsQueries(t *testing.T, stored, foreign []Trajectory) []countsQuery {
-	rng := rand.New(rand.NewSource(33))
+// countsShape is one kind of query window: its name, the fleet the query
+// is sliced from, and the window's share of the time axis.
+type countsShape struct {
+	name  string
+	fleet []Trajectory
+	width float64
+}
+
+// countsQueries draws four queries of each shape from seed: a window of
+// the shape's width sliced from a random trajectory of its fleet. A window
+// sliced from the stored fleet keeps its twin in the index; one sliced
+// from a foreign fleet has none.
+func countsQueries(t *testing.T, seed int64, shapes []countsShape) []countsQuery {
+	rng := rand.New(rand.NewSource(seed))
 	var out []countsQuery
-	for _, shape := range []struct {
-		name  string
-		fleet []Trajectory
-		width float64
-	}{{"twin5", stored, 0.05}, {"foreign25", foreign, 0.25}} {
+	for _, shape := range shapes {
 		for i := 0; i < 4; i++ {
 			src := &shape.fleet[rng.Intn(len(shape.fleet))]
 			t1 := src.StartTime() + rng.Float64()*(src.EndTime()-src.StartTime()-shape.width)
