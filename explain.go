@@ -131,6 +131,7 @@ func (r *ExplainReport) String() string {
 		r.Stats.NodesAccessed, r.Stats.TotalNodes, r.Stats.PruningPower*100)
 	fmt.Fprintf(&b, "  leaf pages           %d actual vs %.1f predicted\n",
 		r.Stats.LeavesAccessed, r.Estimate.ExpectedLeafPages)
+	fmt.Fprintf(&b, "  leaf pages skipped   %d (each holds one trajectory, already decided)\n", r.Stats.LeavesSkipped)
 	fmt.Fprintf(&b, "  heap enqueued        %d\n", r.Stats.Enqueued)
 	fmt.Fprintf(&b, "  exact decisions      %d\n", r.Stats.ExactRefined)
 	fmt.Fprintf(&b, "  page I/O             %d reads, %d buffer hits, %d retries, %d evictions\n",
@@ -152,7 +153,7 @@ func (r *ExplainReport) String() string {
 	}
 	fmt.Fprintf(&b, "trace: %d events", r.Trace.Events)
 	sep := " ("
-	for k := EventNodeEnqueue; k <= EventReplicaRepair; k++ {
+	for k := EventNodeEnqueue; k <= EventLeafSkip; k++ {
 		if n := r.Trace.ByKind[k]; n > 0 {
 			fmt.Fprintf(&b, "%s%s %d", sep, k, n)
 			sep = ", "

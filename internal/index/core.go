@@ -73,22 +73,128 @@ func (c *Core) SetRoot(page storage.PageID, height int) {
 }
 
 // NodeStore is the Core of an MBB tree (3D R-tree, TB-tree, STR-tree): it
-// adds node reads, allocation and writes in the MBB codec, the tree walk
-// and the leaf path. It is a type of its own so that the N-tree, whose
-// pages use the metric codec, never satisfies Tree.
-type NodeStore struct{ Core }
+// adds node reads, allocation and writes in the MBB codec, the tree walk,
+// the leaf path and, once TrackOwners has built it, the leaf-owner table.
+// It is a type of its own so that the N-tree, whose pages use the metric
+// codec, never satisfies Tree.
+type NodeStore struct {
+	Core
+	owners *LeafOwners // nil until TrackOwners succeeds
+}
 
 // NewNodeStore binds an MBB tree to a pager with the MBB codec's fan-outs.
 func NewNodeStore(p storage.Pager, m Meta) NodeStore {
 	ps := p.PageSize()
-	return NodeStore{NewCore(p, m, MaxLeafEntries(ps), MaxChildEntries(ps))}
+	return NodeStore{Core: NewCore(p, m, MaxLeafEntries(ps), MaxChildEntries(ps))}
 }
 
 // ReadNode implements Tree.
 func (s *NodeStore) ReadNode(id storage.PageID) (*Node, error) { return ReadNode(s.pager, id) }
 
-// WriteNode encodes and stores n.
-func (s *NodeStore) WriteNode(n *Node) error { return WriteNode(s.pager, n) }
+// WriteNode encodes and stores n, and keeps the leaf-owner table, when
+// tracked, in step with the page. A failed write clears the page's entry:
+// a page without an owner is always read.
+func (s *NodeStore) WriteNode(n *Node) error {
+	err := WriteNode(s.pager, n)
+	if s.owners != nil {
+		if err != nil {
+			s.owners.set(n.Page, 0, false)
+		} else {
+			s.owners.note(n)
+		}
+	}
+	return err
+}
+
+// LeafOwners is the leaf-owner table of an MBB tree: for every leaf page
+// holding segments of one trajectory only, that trajectory. It is derived
+// from the pages and holds nothing they do not: NodeStore.TrackOwners
+// builds it with one walk and NodeStore.WriteNode keeps it in step, so it
+// is never persisted and the page layout does not change. Like the pages,
+// it is read under the owner's read lock and written under its write lock.
+type LeafOwners struct {
+	byPage []leafOwner // indexed by page; the zero entry names no owner
+}
+
+type leafOwner struct {
+	id  trajectory.ID
+	set bool
+}
+
+// Owner returns the one trajectory whose segments leaf page p holds; ok is
+// false for an internal node, a leaf mixing trajectories, or a page the
+// table does not know.
+func (o *LeafOwners) Owner(p storage.PageID) (id trajectory.ID, ok bool) {
+	if int(p) >= len(o.byPage) {
+		return 0, false
+	}
+	e := o.byPage[p]
+	return e.id, e.set
+}
+
+// note records n's owner, or clears its page's entry when n has none.
+func (o *LeafOwners) note(n *Node) {
+	id, ok := soleOwner(n)
+	o.set(n.Page, id, ok)
+}
+
+func (o *LeafOwners) set(p storage.PageID, id trajectory.ID, ok bool) {
+	if int(p) >= len(o.byPage) {
+		if !ok {
+			return
+		}
+		o.byPage = append(o.byPage, make([]leafOwner, int(p)+1-len(o.byPage))...)
+	}
+	o.byPage[p] = leafOwner{id: id, set: ok}
+}
+
+// equal reports whether both tables name the same owner for every page.
+func (o *LeafOwners) equal(other *LeafOwners) bool {
+	for p := 0; p < max(len(o.byPage), len(other.byPage)); p++ {
+		a, aok := o.Owner(storage.PageID(p))
+		b, bok := other.Owner(storage.PageID(p))
+		if aok != bok || a != b {
+			return false
+		}
+	}
+	return true
+}
+
+// soleOwner returns the trajectory of every entry of n when n is a
+// non-empty leaf whose entries all belong to one trajectory.
+func soleOwner(n *Node) (trajectory.ID, bool) {
+	if !n.Leaf || len(n.Leaves) == 0 {
+		return 0, false
+	}
+	id := n.Leaves[0].TrajID
+	for i := 1; i < len(n.Leaves); i++ {
+		if n.Leaves[i].TrajID != id {
+			return 0, false
+		}
+	}
+	return id, true
+}
+
+// TrackOwners builds the leaf-owner table with one walk of the tree; from
+// then on WriteNode keeps it in step. When the walk fails the store keeps
+// no table and returns the walk's error.
+func (s *NodeStore) TrackOwners() error {
+	o := &LeafOwners{}
+	err := s.Walk(func(n *Node, _ int, _ PathStep) error {
+		o.note(n)
+		return nil
+	})
+	if err != nil {
+		s.owners = nil
+		return err
+	}
+	s.owners = o
+	return nil
+}
+
+// Owners returns the leaf-owner table, nil when TrackOwners has not built
+// one.
+func (s *NodeStore) Owners() *LeafOwners { return s.owners }
 
 // AllocNode allocates an empty, unlinked node.
 func (s *NodeStore) AllocNode(leaf bool) (*Node, error) {
@@ -111,7 +217,8 @@ type Shape struct {
 
 // Walk passes every node to visit once, parents first, with its depth (1
 // at the root) and the step that reached it (zero at the root): the one
-// tree walk, behind CheckInvariants and TB-/STR-tree build-state recovery.
+// tree walk, behind CheckInvariants, TrackOwners and TB-/STR-tree
+// build-state recovery.
 // An undecodable page, an empty node or a node below the height stops it
 // with an error wrapping ErrCorruptNode, or with the pager's own error.
 func (s *NodeStore) Walk(visit func(n *Node, depth int, up PathStep) error) error {
@@ -147,15 +254,18 @@ func (s *NodeStore) Walk(visit func(n *Node, depth int, up PathStep) error) erro
 // contains its node's bound, every leaf sits at the tree's height, every
 // node's occupancy lies within the fan-out and shape's minimum (an
 // internal root holds at least two children, a root leaf at least one
-// entry), every leaf passes shape.Leaf, and the node counter matches the
-// walk. It returns the total number of leaf entries.
+// entry), every leaf passes shape.Leaf, the node counter matches the walk,
+// and the leaf-owner table, when tracked, equals the one the walk derives
+// from the pages. It returns the total number of leaf entries.
 func (s *NodeStore) CheckInvariants(shape Shape) (int, error) {
 	if s.meta.Root == storage.NilPage && s.meta.Height != 0 {
 		return 0, fmt.Errorf("index: empty tree with height %d", s.meta.Height)
 	}
 	entries, visited := 0, 0
+	fresh := &LeafOwners{}
 	err := s.Walk(func(n *Node, depth int, up PathStep) error {
 		visited++
+		fresh.note(n)
 		if up.Node != nil && !up.Node.Children[up.Child].MBB.Contains(n.MBB()) {
 			return fmt.Errorf("index: node %d not contained in its parent entry", n.Page)
 		}
@@ -190,6 +300,9 @@ func (s *NodeStore) CheckInvariants(shape Shape) (int, error) {
 	}
 	if visited != s.meta.Nodes {
 		return 0, fmt.Errorf("index: visited %d nodes, counter says %d", visited, s.meta.Nodes)
+	}
+	if s.owners != nil && !s.owners.equal(fresh) {
+		return 0, fmt.Errorf("index: leaf-owner table differs from the pages")
 	}
 	return entries, nil
 }

@@ -20,6 +20,8 @@ type checkedTree interface {
 	Meta() index.Meta
 	InsertTrajectory(*trajectory.Trajectory) error
 	CheckInvariants() (int, error)
+	TrackOwners() error
+	Owners() *index.LeafOwners
 }
 
 var mbbKinds = []struct {
@@ -206,5 +208,144 @@ func TestFirstInsertAfterOpenReportsDamage(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestLeafOwnersTrackPages builds each MBB kind with its leaf-owner table
+// tracked from the empty tree on, as a DB does, and requires the table
+// WriteNode maintained to name, for every page, what a walk of the built
+// pages names: the one trajectory of a single-trajectory leaf, nothing for
+// any other node. A leaf rewritten behind the store's back makes the
+// invariant walk report the stale table, and a damaged page makes the
+// building walk fail with a typed error and leave no table.
+func TestLeafOwnersTrackPages(t *testing.T) {
+	fleet := gstd.Generate(gstd.Config{NumObjects: 12, SamplesPerObject: 120, Seed: 8}).Trajs
+	for _, kind := range mbbKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			f := storage.NewFile(1024)
+			tr := kind.build(f)
+			if err := tr.TrackOwners(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range fleet {
+				if err := tr.InsertTrajectory(&fleet[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("intact tree: %v", err)
+			}
+			walked := kind.open(f, tr.Meta())
+			if err := walked.TrackOwners(); err != nil {
+				t.Fatal(err)
+			}
+			var owned []*index.Node
+			for p := storage.PageID(0); int(p) < f.NumPages(); p++ {
+				got, gok := tr.Owners().Owner(p)
+				want, wok := walked.Owners().Owner(p)
+				if got != want || gok != wok {
+					t.Fatalf("page %d: maintained owner (%d, %t), walked (%d, %t)", p, got, gok, want, wok)
+				}
+				if n := readNode(t, f, p); wok {
+					owned = append(owned, n)
+					for _, e := range n.Leaves {
+						if !n.Leaf || e.TrajID != want {
+							t.Fatalf("page %d owned by %d holds an entry of %d", p, want, e.TrajID)
+						}
+					}
+				}
+			}
+			if len(owned) == 0 {
+				t.Fatal("no leaf holds one trajectory only; the comparison was vacuous")
+			}
+
+			leaf := owned[0]
+			for i := range leaf.Leaves {
+				leaf.Leaves[i].TrajID += 1000 // another sole trajectory
+			}
+			writeNode(t, f, leaf)
+			if _, err := tr.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "leaf-owner table") {
+				t.Fatalf("CheckInvariants after a leaf rewritten behind the store = %v", err)
+			}
+
+			if err := f.CorruptPage(leaf.Page, 20); err != nil {
+				t.Fatal(err)
+			}
+			damaged := kind.open(f, tr.Meta())
+			if err := damaged.TrackOwners(); !errors.Is(err, index.ErrCorruptNode) && !errors.As(err, new(storage.ErrPageCorrupt)) {
+				t.Fatalf("TrackOwners over a damaged page = %v, want a typed corruption error", err)
+			}
+			if damaged.Owners() != nil {
+				t.Fatal("a failed walk left a leaf-owner table")
+			}
+		})
+	}
+}
+
+// failingWrites fails every page write.
+type failingWrites struct{ storage.Pager }
+
+func (failingWrites) Write(storage.PageID, []byte) error { return errors.New("write refused") }
+
+// TestLeafOwnersFollowWrites drives one NodeStore's table write by write:
+// a single-trajectory leaf sets its page's owner, a mixed leaf or an
+// internal node clears it, and a failed write clears it too, since the
+// page may then hold anything.
+func TestLeafOwnersFollowWrites(t *testing.T) {
+	f := storage.NewFile(1024)
+	s := index.NewNodeStore(f, index.Meta{Root: storage.NilPage})
+	if err := s.TrackOwners(); err != nil {
+		t.Fatal(err)
+	}
+	n, err := s.AllocNode(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, wantID trajectory.ID, wantOK bool) {
+		t.Helper()
+		if id, ok := s.Owners().Owner(n.Page); id != wantID || ok != wantOK {
+			t.Fatalf("%s: Owner = (%d, %t), want (%d, %t)", step, id, ok, wantID, wantOK)
+		}
+	}
+	check("allocated", 0, false)
+	seg := index.LeafEntry{TrajID: 7}
+	n.Leaves = []index.LeafEntry{seg, seg}
+	if err := s.WriteNode(n); err != nil {
+		t.Fatal(err)
+	}
+	check("one trajectory", 7, true)
+	n.Leaves = append(n.Leaves, index.LeafEntry{TrajID: 8})
+	if err := s.WriteNode(n); err != nil {
+		t.Fatal(err)
+	}
+	check("two trajectories", 0, false)
+	n.Leaves = n.Leaves[:1]
+	if err := s.WriteNode(n); err != nil {
+		t.Fatal(err)
+	}
+	check("one again", 7, true)
+	n.Leaf, n.Leaves, n.Children = false, nil, []index.ChildEntry{{Page: 9}}
+	if err := s.WriteNode(n); err != nil {
+		t.Fatal(err)
+	}
+	check("internal node", 0, false)
+	if _, ok := s.Owners().Owner(storage.PageID(1 << 20)); ok {
+		t.Fatal("a page past the table has an owner")
+	}
+
+	n.Leaf, n.Leaves, n.Children = true, []index.LeafEntry{seg}, nil
+	if err := s.WriteNode(n); err != nil {
+		t.Fatal(err)
+	}
+	check("leaf again", 7, true)
+	w := index.NewNodeStore(failingWrites{f}, index.Meta{Root: storage.NilPage})
+	if err := w.TrackOwners(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteNode(n); err == nil {
+		t.Fatal("write through a failing pager succeeded")
+	}
+	if _, ok := w.Owners().Owner(n.Page); ok {
+		t.Fatal("a failed write left its page an owner")
 	}
 }

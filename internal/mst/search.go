@@ -61,6 +61,14 @@ type Options struct {
 	// Err = 0 and no trapezoid is evaluated. Without Data the search is the
 	// paper's, with certified trapezoid intervals.
 	Data *trajectory.Dataset
+	// Owners, when set alongside Data, names the one trajectory of every
+	// leaf page that holds segments of one trajectory only. The search then
+	// skips such a leaf once its trajectory is decided, without reading it:
+	// at enqueue, before its MINDIST is computed, and at pop, before
+	// Heuristic 2 and the read. Every entry of a skipped leaf belongs to a
+	// trajectory whose exact DISSIM, or out-of-play status, is already
+	// recorded, so the answer does not change. Ignored without Data.
+	Owners LeafOwners
 	// ExcludeIDs are trajectories never reported (nor used to tighten
 	// bounds) — typically the query's own stored twin when searching "more
 	// like this one".
@@ -87,9 +95,20 @@ type Options struct {
 	Trace func(TraceEvent)
 }
 
+// LeafOwners is the leaf-owner table a search may skip decided leaves by:
+// index.LeafOwners, kept by the tree's node store.
+type LeafOwners interface {
+	// Owner returns the one trajectory whose segments leaf page p holds;
+	// ok is false for any other page.
+	Owner(p storage.PageID) (id trajectory.ID, ok bool)
+}
+
 func (o *Options) normalize() {
 	if o.K < 1 {
 		o.K = 1
+	}
+	if o.Data == nil {
+		o.Owners = nil
 	}
 	if o.Refine < 1 {
 		o.Refine = 1
@@ -117,6 +136,7 @@ type Result struct {
 type Stats struct {
 	NodesAccessed   int     // tree nodes popped and read
 	LeavesAccessed  int     // of which leaves
+	LeavesSkipped   int     // leaves never read: their one trajectory was already decided (Options.Owners)
 	TotalNodes      int     // nodes in the tree
 	PruningPower    float64 // 1 − NodesAccessed/TotalNodes
 	Enqueued        int     // heap insertions
@@ -367,6 +387,9 @@ func (s *searcher) run() error {
 				it.dist, s.lastPop, it.page)
 			s.lastPop = it.dist
 		}
+		if s.skipLeaf(it.page) {
+			continue
+		}
 
 		// Heuristic 2: MINDISSIMINC test. Because nodes pop in MINDIST
 		// order, a positive test terminates the whole search (paper lines
@@ -406,7 +429,7 @@ func (s *searcher) run() error {
 			continue
 		}
 		for _, c := range n.Children {
-			if !c.MBB.OverlapsTime(s.t1, s.t2) {
+			if !c.MBB.OverlapsTime(s.t1, s.t2) || s.skipLeaf(c.Page) {
 				continue
 			}
 			d, ok := index.MinDistTrajMBB(s.q, c.MBB, s.t1, s.t2)
@@ -425,6 +448,26 @@ func (s *searcher) run() error {
 		}
 	}
 	return nil
+}
+
+// skipLeaf reports whether page is a leaf holding segments of one
+// trajectory only, already decided, and so never worth reading: the tree
+// is then needed only to discover trajectories, and this leaf names none
+// that is new. It counts and traces each skip.
+func (s *searcher) skipLeaf(page storage.PageID) bool {
+	if s.opts.Owners == nil {
+		return false
+	}
+	id, ok := s.opts.Owners.Owner(page)
+	if !ok {
+		return false
+	}
+	if _, decided := s.cands[id]; !decided {
+		return false
+	}
+	s.stats.LeavesSkipped++
+	s.emit(TraceEvent{Kind: EventLeafSkip, Page: page, TrajID: id})
+	return true
 }
 
 // budgetExhausted names the per-query resource budget that has run out

@@ -60,6 +60,11 @@ const (
 	// rotation (Shard, Replica = the repaired replica, Count = the
 	// source replica). Emitted by the cluster layer.
 	EventReplicaRepair
+	// EventLeafSkip: the search dropped a leaf without reading it, because
+	// the one trajectory whose segments it holds (TrajID) was already
+	// decided (Page). Emitted only when Options.Owners is set; the number
+	// of these events equals Stats.LeavesSkipped.
+	EventLeafSkip
 )
 
 // String names the event kind.
@@ -87,6 +92,8 @@ func (k EventKind) String() string {
 		return "replica-failover"
 	case EventReplicaRepair:
 		return "replica-repair"
+	case EventLeafSkip:
+		return "leaf-skip"
 	default:
 		return "unknown"
 	}
@@ -100,7 +107,8 @@ func (k EventKind) String() string {
 type TraceEvent struct {
 	Kind EventKind
 
-	// Node fields (EventNodeEnqueue, EventNodeVisit, EventEarlyTerminate).
+	// Node fields (EventNodeEnqueue, EventNodeVisit, EventEarlyTerminate;
+	// Page on EventLeafSkip).
 	Page  storage.PageID
 	Level int // root = 0
 	Leaf  bool
@@ -108,7 +116,7 @@ type TraceEvent struct {
 	// MinDist is the node's MINDIST from the query over the period.
 	MinDist float64
 
-	// Candidate fields (EventCandidate*).
+	// Candidate fields (EventCandidate*; TrajID on EventLeafSkip).
 	TrajID trajectory.ID
 	// Lo, Hi bound the candidate's certified DISSIM interval at the time
 	// of the event; for EventEarlyTerminate Lo carries MINDISSIMINC.

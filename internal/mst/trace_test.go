@@ -37,6 +37,9 @@ func TestTraceContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	data := makeDataset(rng, 40, 100)
 	tr := buildRTree(t, data, 1024)
+	if err := tr.TrackOwners(); err != nil {
+		t.Fatal(err)
+	}
 	q := queryFrom(rng, &data.Trajs[3], 10, 80)
 
 	for _, tc := range []struct {
@@ -44,6 +47,8 @@ func TestTraceContract(t *testing.T) {
 		opts Options
 	}{
 		{"refined", Options{K: 5, Refine: 1, Data: data}},
+		{"owners", Options{K: 5, Refine: 1, Data: data, Owners: tr.Owners()}},
+		{"owners-without-store", Options{K: 3, Refine: 1, Owners: tr.Owners()}},
 		{"unrefined", Options{K: 3, Refine: 1}},
 		{"no-heuristics", Options{K: 3, Refine: 1, DisableHeuristic1: true, DisableHeuristic2: true}},
 		{"budgeted", Options{K: 3, Refine: 1, MaxNodeAccesses: 4}},
@@ -100,6 +105,12 @@ func TestTraceContract(t *testing.T) {
 			}
 			if st.Degraded && count[EventBudgetExhausted] != 1 {
 				t.Errorf("degraded search emitted %d budget-exhausted events, want 1", count[EventBudgetExhausted])
+			}
+			if got := count[EventLeafSkip]; got != st.LeavesSkipped {
+				t.Errorf("leaf-skip events %d != LeavesSkipped %d", got, st.LeavesSkipped)
+			}
+			if skips := tc.opts.Owners != nil && tc.opts.Data != nil; skips != (st.LeavesSkipped > 0) {
+				t.Errorf("LeavesSkipped %d with Owners set %t and Data set %t", st.LeavesSkipped, tc.opts.Owners != nil, tc.opts.Data != nil)
 			}
 			if tc.opts.Data != nil {
 				for id := range admitted {
@@ -273,6 +284,7 @@ func TestEventKindString(t *testing.T) {
 		EventCandidatePrune:    "candidate-prune",
 		EventEarlyTerminate:    "early-terminate",
 		EventBudgetExhausted:   "budget-exhausted",
+		EventLeafSkip:          "leaf-skip",
 	}
 	for k, s := range want {
 		if k.String() != s {

@@ -252,6 +252,7 @@ func (c *Cluster) merge(k int, bounds []float64, resps []*mstsearch.Response, cs
 		}
 		stats.NodesAccessed += st.NodesAccessed
 		stats.LeavesAccessed += st.LeavesAccessed
+		stats.LeavesSkipped += st.LeavesSkipped
 		stats.TotalNodes += st.TotalNodes
 		stats.Enqueued += st.Enqueued
 		stats.PageReads += st.PageReads

@@ -70,6 +70,7 @@ type Result struct {
 type SearchStats struct {
 	NodesAccessed   int
 	LeavesAccessed  int // of NodesAccessed, how many were leaves
+	LeavesSkipped   int // leaves never read: the one trajectory they hold was already decided
 	TotalNodes      int
 	Enqueued        int     // best-first heap insertions
 	PruningPower    float64 // fraction of tree nodes never touched
@@ -155,6 +156,7 @@ const (
 	EventShardPrune        = mst.EventShardPrune
 	EventReplicaFailover   = mst.EventReplicaFailover
 	EventReplicaRepair     = mst.EventReplicaRepair
+	EventLeafSkip          = mst.EventLeafSkip
 )
 
 // Metric selects the distance function of a k-nearest query (the
@@ -665,6 +667,13 @@ func (db *DB) kMostSimilar(ctx context.Context, q *Trajectory, t1, t2 float64, k
 			return nil, SearchStats{}, fmt.Errorf("%w: metric %s is not supported by the %s index (use an %s database)",
 				ErrBadQuery, m, db.kind, NTree)
 		}
+		// The engine tree's leaf-owner table lets the search skip a leaf
+		// whose one trajectory is already decided, without reading it.
+		if e, ok := db.eng.(*mbbEngine); ok {
+			if owners := e.t.Owners(); owners != nil {
+				opts.Owners = owners
+			}
+		}
 		res, st, err = mst.SearchContext(ctx, tree, q, t1, t2, opts)
 	default:
 		return nil, SearchStats{}, fmt.Errorf("mstsearch: index kind %s exposes no searchable view", db.kind)
@@ -680,6 +689,7 @@ func (db *DB) kMostSimilar(ctx context.Context, q *Trajectory, t1, t2 float64, k
 	return out, SearchStats{
 		NodesAccessed:   st.NodesAccessed,
 		LeavesAccessed:  st.LeavesAccessed,
+		LeavesSkipped:   st.LeavesSkipped,
 		TotalNodes:      st.TotalNodes,
 		Enqueued:        st.Enqueued,
 		PruningPower:    st.PruningPower,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mstsearch/internal/debugassert"
+	"mstsearch/internal/gstd"
 )
 
 // obsFleet builds the fixed workload the observability tests and the
@@ -112,19 +113,41 @@ func TestQueryTraceSummaryReconciles(t *testing.T) {
 // top ones exactly afterwards, this query made 186 allocations; deciding
 // each candidate exactly from the trajectory store on first sight, it
 // makes 104.
+//
+// The long legs query a quarter of the time axis over 40 trajectories of
+// 1001 samples on each MBB kind, k = 10. There most leaves hold one
+// trajectory's segments, and a leaf whose trajectory is already decided
+// is skipped unread. Reading every such leaf, these queries made 336
+// (R-tree), 265 (TB-tree) and 387 (STR-tree) allocations; skipping them,
+// 108, 103 and 129.
 func TestQueryNoAllocRegression(t *testing.T) {
 	if debugassert.Enabled {
 		t.Skip("sanitizer assertions allocate; the baseline holds for release builds only")
 	}
-	db, err := NewDB(RTree3D, obsFleet(42))
+	q := obsFleet(43)[0]
+	q.ID = 0
+	queryAllocCeiling(t, RTree3D, obsFleet(42), Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3}, 130)
+
+	long := gstd.Generate(gstd.Config{NumObjects: 40, SamplesPerObject: 1001, Seed: 5}).Trajs
+	src := gstd.Generate(gstd.Config{NumObjects: 1, SamplesPerObject: 1001, Seed: 6}).Trajs[0]
+	lq := Trajectory{Samples: src.Samples[300:551]}
+	iv := Interval{T1: lq.StartTime(), T2: lq.EndTime()}
+	for _, kind := range []IndexKind{RTree3D, TBTree, STRTree} {
+		t.Run("long/"+kind.String(), func(t *testing.T) {
+			queryAllocCeiling(t, kind, long, Request{Q: &lq, Interval: iv, K: 10}, 170)
+		})
+	}
+}
+
+// queryAllocCeiling fails the test when one warm, untraced run of req on a
+// kind DB over fleet allocates more than ceiling times.
+func queryAllocCeiling(t *testing.T, kind IndexKind, fleet []Trajectory, req Request, ceiling float64) {
+	t.Helper()
+	db, err := NewDB(kind, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := obsFleet(43)[0]
-	q.ID = 0
-	req := Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3, Options: DefaultOptions()}
 	ctx := context.Background()
-
 	// Warm the shared pool and the lazily built dataset cache first.
 	if _, err := db.Query(ctx, req); err != nil {
 		t.Fatal(err)
@@ -134,10 +157,10 @@ func TestQueryNoAllocRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 130
 	if allocs > ceiling {
-		t.Errorf("untraced query allocates %.0f times/run, ceiling %d", allocs, ceiling)
+		t.Errorf("untraced %s query allocates %.0f times/run, ceiling %.0f", kind, allocs, ceiling)
 	}
+	t.Logf("untraced %s query allocates %.0f times/run", kind, allocs)
 }
 
 // TestMetricQueryNoAllocRegression is the same guard for an exact DTW
@@ -336,6 +359,10 @@ func TestExplainReconciles(t *testing.T) {
 		t.Errorf("trace node visits %d != stats %d",
 			rep.Trace.ByKind[EventNodeVisit], rep.Stats.NodesAccessed)
 	}
+	if rep.Trace.ByKind[EventLeafSkip] != rep.Stats.LeavesSkipped {
+		t.Errorf("trace leaf skips %d != stats %d",
+			rep.Trace.ByKind[EventLeafSkip], rep.Stats.LeavesSkipped)
+	}
 	nodes, leaves := 0, 0
 	for _, lv := range rep.Levels {
 		nodes += lv.Nodes
@@ -352,7 +379,7 @@ func TestExplainReconciles(t *testing.T) {
 		t.Errorf("report sized against %d trajectories, store has %d", rep.Trajectories, db.Len())
 	}
 	s := rep.String()
-	for _, want := range []string{"EXPLAIN k-MST", "cost model:", "actuals:", "per-level node accesses", "results:"} {
+	for _, want := range []string{"EXPLAIN k-MST", "cost model:", "actuals:", "leaf pages skipped", "per-level node accesses", "results:"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("transcript lacks %q:\n%s", want, s)
 		}

@@ -135,6 +135,13 @@ type indexEngine interface {
 // describes in the page file (Root NilPage for an empty tree). The DB's
 // trajectory store backs metric engines' geometry lookups; callers must
 // hold db.mu (write side) while mutating through the engine.
+//
+// An MBB engine's tree tracks its leaf-owner table from here on: one walk
+// of the pages builds it, and every node write keeps it in step. Every
+// engine is made here, so no path that installs pages (Load, OpenDurable,
+// a replica re-seed) can leave the table stale. When the walk fails the
+// tree keeps no table: the search then reads every leaf, and the damage
+// surfaces where a query or the first insert reads the bad page.
 func (db *DB) newEngine(kind IndexKind, file storage.Pager, m index.Meta) indexEngine {
 	open := openRTree
 	switch kind {
@@ -145,7 +152,9 @@ func (db *DB) newEngine(kind IndexKind, file storage.Pager, m index.Meta) indexE
 	case STRTree:
 		open = openSTRTree
 	}
-	return &mbbEngine{t: open(file, m), open: open}
+	t := open(file, m)
+	_ = t.TrackOwners() // a failed walk leaves no table; see above
+	return &mbbEngine{t: t, open: open}
 }
 
 // lookupLocked resolves a trajectory ID against the store for the metric
@@ -154,12 +163,15 @@ func (db *DB) newEngine(kind IndexKind, file storage.Pager, m index.Meta) indexE
 func (db *DB) lookupLocked(id ID) *Trajectory { return db.get(id) }
 
 // mbbTree is what the DB needs of an MBB tree kind: the k-MST read
-// interface, its reopen information and its insertion.
+// interface, its reopen information, its insertion and its leaf-owner
+// table.
 type mbbTree interface {
 	index.Tree
 	Meta() index.Meta
 	Insert(index.LeafEntry) error
 	InsertTrajectory(*Trajectory) error
+	TrackOwners() error
+	Owners() *index.LeafOwners
 }
 
 // The reopen functions of the MBB kinds, which a view opens per query.

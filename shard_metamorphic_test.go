@@ -122,7 +122,9 @@ func TestMetamorphicPruneMonotonic(t *testing.T) {
 // exactly like the single DB — Stats.Degraded propagates, results that
 // can no longer be certified lose their flag on both sides identically,
 // and the merged response never silently presents best-effort answers as
-// exact.
+// exact. Each budget is drawn below the node counts of the same query run
+// without one, on the single DB and on the busiest shard, so it binds on
+// both sides however few nodes the search reads.
 func TestMetamorphicDegradedParity(t *testing.T) {
 	trajs := gstd.Generate(gstd.Config{NumObjects: 40, SamplesPerObject: 81, Seed: 19}).Trajs
 	single, err := mstsearch.NewDB(mstsearch.RTree3D, trajs)
@@ -136,11 +138,31 @@ func TestMetamorphicDegradedParity(t *testing.T) {
 	for iter := 0; iter < 12; iter++ {
 		q := mstsearch.OracleQueryTraj(rng, 61)
 		t1, t2 := mstsearch.OracleQueryWindow(rng)
-		opts := oracleOptions()
-		opts.MaxNodeAccesses = 2 + rng.Intn(6) // tight: most searches degrade
 		req := mstsearch.Request{
-			Q: q, Interval: mstsearch.Interval{T1: t1, T2: t2}, K: 3, Options: opts,
+			Q: q, Interval: mstsearch.Interval{T1: t1, T2: t2}, K: 3, Options: oracleOptions(),
 		}
+		full, err := single.Query(context.Background(), req)
+		if err != nil {
+			t.Fatalf("iter %d single, no budget: %v", iter, err)
+		}
+		_, qs, err := c.QueryShards(context.Background(), req)
+		if err != nil {
+			t.Fatalf("iter %d cluster, no budget: %v", iter, err)
+		}
+		busiest := 0
+		for _, st := range qs.PerShard {
+			if st != nil {
+				busiest = max(busiest, st.NodesAccessed)
+			}
+		}
+		limit := min(full.Stats.NodesAccessed, busiest)
+		if limit < 2 {
+			t.Fatalf("iter %d: the unbudgeted searches read %d and %d nodes, too few to degrade",
+				iter, full.Stats.NodesAccessed, busiest)
+		}
+		opts := req.Options
+		opts.MaxNodeAccesses = 1 + rng.Intn(limit-1)
+		req.Options = opts
 		sresp, serr := single.Query(context.Background(), req)
 		if serr != nil {
 			t.Fatalf("iter %d single: %v", iter, serr)
