@@ -22,7 +22,7 @@ func batchFixture(t *testing.T, kind IndexKind, seed int64) (*DB, []Trajectory) 
 }
 
 // TestBatchMatchesSerialLoop: a batch call must return, slot for slot,
-// exactly what a serial loop of KMostSimilarOpts returns — across kinds
+// exactly what a serial loop of Query returns — across kinds
 // and worker counts.
 func TestBatchMatchesSerialLoop(t *testing.T) {
 	for _, kind := range IndexKinds() {
@@ -42,10 +42,11 @@ func TestBatchMatchesSerialLoop(t *testing.T) {
 			opts := Options{}
 			serial := make([][]Result, len(queries))
 			for i, bq := range queries {
-				res, _, err := db.KMostSimilarOpts(bq.Q, bq.T1, bq.T2, bq.K, opts)
+				resp, err := db.Query(context.Background(), Request{Q: bq.Q, Interval: Interval{bq.T1, bq.T2}, K: bq.K, Options: opts})
 				if err != nil {
 					t.Fatalf("serial %d: %v", i, err)
 				}
+				res := resp.Results
 				serial[i] = res
 			}
 			for _, par := range []int{1, 4} {

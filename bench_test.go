@@ -249,7 +249,7 @@ func BenchmarkLinearScanVsIndexed(b *testing.B) {
 	q.ID = 0
 	b.Run("indexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := db.KMostSimilar(&q, q.StartTime(), q.EndTime(), 1); err != nil {
+			if _, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{q.StartTime(), q.EndTime()}, K: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -370,7 +370,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := db.KMostSimilar(&q, q.StartTime(), q.EndTime(), 1); err != nil {
+			if _, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{q.StartTime(), q.EndTime()}, K: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

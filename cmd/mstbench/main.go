@@ -194,7 +194,7 @@ func runBatchExperiment(card, samples, nq int, seed int64) {
 		queries[i] = mstsearch.BatchQuery{Q: &held[i], T1: t1, T2: t2, K: 1}
 	}
 
-	opts := mstsearch.DefaultOptions()
+	var opts mstsearch.Options
 	// Untimed warmup so every leg sees the same buffer state.
 	for _, br := range db.KMostSimilarBatch(context.Background(), queries, opts) {
 		fail(br.Err)
@@ -262,7 +262,7 @@ func runShardExperiment(card, samples, nq int, seed int64) {
 			for i := range data.Trajs {
 				fail(c.Add(data.Trajs[i]))
 			}
-			opts := mstsearch.DefaultOptions()
+			var opts mstsearch.Options
 			// Untimed warmup so every leg measures the same buffer state.
 			for _, w := range work {
 				if _, err := c.Query(context.Background(), mstsearch.Request{
@@ -320,7 +320,6 @@ func runExplainExperiment(card, samples, nq int, seed int64) {
 			Q:        &q,
 			Interval: mstsearch.Interval{T1: t1, T2: t2},
 			K:        5,
-			Options:  mstsearch.DefaultOptions(),
 		})
 		fail(err)
 		fmt.Printf("%5d %10.1f %9d %7d %8.1f %8d %9s\n",
@@ -386,7 +385,7 @@ func runIndexCompareExperiment(card, samples, nq int, seed int64, jsonPath strin
 	fmt.Printf("Index head-to-head: S%04d, %d samples/object, %d queries (5%% windows, k=5)\n", card, samples, nq)
 	fmt.Println("k-MST (DISSIM) leg:")
 	fmt.Println("kind          total(ms)   queries/s    nodes/q   pruned%    leaf/q   reads/q")
-	opts := mstsearch.DefaultOptions()
+	var opts mstsearch.Options
 	dbs := make(map[mstsearch.IndexKind]*mstsearch.DB)
 	for _, kind := range mstsearch.IndexKinds() {
 		db, err := mstsearch.NewDB(kind, data.Trajs)

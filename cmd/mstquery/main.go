@@ -142,7 +142,6 @@ func main() {
 		K:         *k,
 		Metric:    m,
 		MetricEps: *eps,
-		Options:   mstsearch.DefaultOptions(),
 	}
 	if *explain {
 		rep, err := db.Explain(context.Background(), req)

@@ -229,7 +229,6 @@ func runQuery(args []string) {
 		Q:        &qc,
 		Interval: mstsearch.Interval{T1: qc.StartTime(), T2: qc.EndTime()},
 		K:        *k,
-		Options:  mstsearch.DefaultOptions(),
 	})
 	fail(err)
 	fmt.Printf("k=%d MST over [%g, %g]: %d results\n", *k, qc.StartTime(), qc.EndTime(), len(resp.Results))
@@ -404,7 +403,6 @@ func runClusterQuery(args []string) {
 		Q:        &qc,
 		Interval: mstsearch.Interval{T1: qc.StartTime(), T2: qc.EndTime()},
 		K:        *k,
-		Options:  mstsearch.DefaultOptions(),
 	})
 	fail(err)
 	fmt.Printf("k=%d MST over [%g, %g]: %d results (%d shards searched, %d pruned)\n",

@@ -41,15 +41,15 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 					for i := 0; i < rounds; i++ {
 						switch rng.Intn(3) {
 						case 0:
-							if _, _, err := db.KMostSimilar(&q, 2, 8, 3); err != nil {
+							if _, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{2, 8}, K: 3}); err != nil {
 								errc <- err
 							}
 						case 1:
-							if _, err := db.RangeQuery(0, 0, 100, 100, 2, 8); err != nil {
+							if _, err := db.Range(context.Background(), Window{0, 0, 100, 100}, Interval{2, 8}); err != nil {
 								errc <- err
 							}
 						default:
-							if _, err := db.NearestAt(50, 50, 5, 3); err != nil {
+							if _, err := db.Nearest(context.Background(), 50, 50, 5, 3); err != nil {
 								errc <- err
 							}
 						}
@@ -119,7 +119,7 @@ func TestConcurrentCancellation(t *testing.T) {
 					cancel()
 					ctx = c
 				}
-				_, _, err := db.KMostSimilarContext(ctx, &q, 2, 8, 3)
+				_, err := db.Query(ctx, Request{Q: &q, Interval: Interval{2, 8}, K: 3})
 				if canceled {
 					if !errors.Is(err, ErrCanceled) {
 						t.Errorf("canceled query: got %v, want ErrCanceled", err)

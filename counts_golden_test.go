@@ -188,7 +188,7 @@ func countsLeg(t *testing.T, b *strings.Builder, leg string, queries []countsQue
 func countsViaQuery(t *testing.T, db *DB, q countsQuery, k int, m Metric) countsLine {
 	t.Helper()
 	var l countsLine
-	o := DefaultOptions()
+	var o Options
 	o.Trace = func(ev TraceEvent) {
 		switch {
 		case ev.Kind == EventCandidateComplete:

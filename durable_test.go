@@ -95,9 +95,7 @@ func matchPrefix(ops []durableOp, sig map[ID]int) (int, bool) {
 
 // crashQuery runs the fixed differential query the sweep compares.
 func crashQuery(db *DB, q *Trajectory) ([]Result, error) {
-	resp, err := db.Query(context.Background(), Request{
-		Q: q, Interval: Interval{T1: 2, T2: 8}, K: 4, Options: DefaultOptions(),
-	})
+	resp, err := db.Query(context.Background(), Request{Q: q, Interval: Interval{T1: 2, T2: 8}, K: 4})
 	return resp.Results, err
 }
 
@@ -573,7 +571,7 @@ func TestRecoverDuringLiveQueries(t *testing.T) {
 	}
 	q := trajs[1].Clone()
 	q.ID = 0
-	req := Request{Q: &q, Interval: Interval{T1: 2, T2: 8}, K: 3, Options: DefaultOptions()}
+	req := Request{Q: &q, Interval: Interval{T1: 2, T2: 8}, K: 3}
 	ctx := context.Background()
 	want, err := db.Query(ctx, req)
 	if err != nil {

@@ -60,3 +60,29 @@ func TestDeadlineVersusCancelTaxonomy(t *testing.T) {
 		}
 	})
 }
+
+// TestNilQueryIsBadQuery pins that every entry point taking a Request
+// types a missing query trajectory as ErrBadQuery instead of panicking.
+func TestNilQueryIsBadQuery(t *testing.T) {
+	db, err := NewDB(RTree3D, fleet(rand.New(rand.NewSource(37)), 10, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	req := Request{Interval: Interval{T1: 2, T2: 8}, K: 3}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"Query", func() error { _, err := db.Query(ctx, req); return err }},
+		{"QueryAuto", func() error { _, _, err := db.QueryAuto(ctx, req); return err }},
+		{"Explain", func() error { _, err := db.Explain(ctx, req); return err }},
+		{"EstimateQueryCost", func() error { _, err := db.EstimateQueryCost(nil, 2, 8, 3); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.call(); !errors.Is(err, ErrBadQuery) {
+				t.Fatalf("nil query: got %v, want ErrBadQuery", err)
+			}
+		})
+	}
+}

@@ -35,7 +35,6 @@ func ExampleDB_Query() {
 		Q:        &q,
 		Interval: mstsearch.Interval{T1: 0, T2: 10},
 		K:        2,
-		Options:  mstsearch.DefaultOptions(),
 	})
 	for i, r := range resp.Results {
 		fmt.Printf("%d. trajectory %d DISSIM %.1f\n", i+1, r.TrajID, r.Dissim)
@@ -55,7 +54,6 @@ func ExampleDB_Explain() {
 		Q:        &q,
 		Interval: mstsearch.Interval{T1: 0, T2: 10},
 		K:        2,
-		Options:  mstsearch.DefaultOptions(),
 	})
 	// rep.String() renders the full EXPLAIN transcript; individual fields
 	// support programmatic checks like these.

@@ -35,10 +35,7 @@ func main() {
 	fmt.Printf("query: truck 17's route sketched with %d of %d waypoints\n\n",
 		len(sketch.Samples), len(subject.Samples))
 
-	resp, err := db.Query(context.Background(), mstsearch.Request{
-		Q: &sketch, Interval: mstsearch.Interval{T1: subject.StartTime(), T2: subject.EndTime()}, K: 4,
-		Options: mstsearch.DefaultOptions(),
-	})
+	resp, err := db.Query(context.Background(), mstsearch.Request{Q: &sketch, Interval: mstsearch.Interval{T1: subject.StartTime(), T2: subject.EndTime()}, K: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -96,9 +96,7 @@ func main() {
 	// 4. Similarity: which vessels moved most like the intruder overnight?
 	q := intruder.Clone()
 	q.ID = 0
-	resp, err := db.Query(ctx, mstsearch.Request{
-		Q: &q, Interval: night, K: 4, Options: mstsearch.DefaultOptions(),
-	})
+	resp, err := db.Query(ctx, mstsearch.Request{Q: &q, Interval: night, K: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

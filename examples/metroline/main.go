@@ -74,10 +74,7 @@ func main() {
 	fmt.Printf("city bus network: %d lines, %d segments, %.2f MB 3D R-tree\n\n",
 		db.Len(), db.NumSegments(), db.IndexSizeMB())
 
-	resp, err := db.Query(context.Background(), mstsearch.Request{
-		Q: &metro, Interval: mstsearch.Interval{T1: dayStart, T2: dayEnd}, K: 5,
-		Options: mstsearch.DefaultOptions(),
-	})
+	resp, err := db.Query(context.Background(), mstsearch.Request{Q: &metro, Interval: mstsearch.Interval{T1: dayStart, T2: dayEnd}, K: 5})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,10 +48,7 @@ func main() {
 		q.Samples[i].Y += rng.NormFloat64() * 0.2
 	}
 
-	resp, err := db.Query(context.Background(), mstsearch.Request{
-		Q: &q, Interval: mstsearch.Interval{T1: 0, T2: 10}, K: 3,
-		Options: mstsearch.DefaultOptions(),
-	})
+	resp, err := db.Query(context.Background(), mstsearch.Request{Q: &q, Interval: mstsearch.Interval{T1: 0, T2: 10}, K: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -79,10 +79,7 @@ func main() {
 	q.ID = 0
 
 	fmt.Println("time-anchored k-MST (Monday 08:00 window):")
-	aresp, err := db.Query(context.Background(), mstsearch.Request{
-		Q: &q, Interval: mstsearch.Interval{T1: q.StartTime(), T2: q.EndTime()}, K: 3,
-		Options: mstsearch.DefaultOptions(),
-	})
+	aresp, err := db.Query(context.Background(), mstsearch.Request{Q: &q, Interval: mstsearch.Interval{T1: q.StartTime(), T2: q.EndTime()}, K: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

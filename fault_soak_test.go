@@ -92,16 +92,16 @@ func TestFaultInjectionSoak(t *testing.T) {
 		case 0: // pre-canceled context: must fail fast with the typed error.
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, _, err := db.KMostSimilarContext(ctx, &q, t1, t2, k)
+			_, err := db.Query(ctx, Request{Q: &q, Interval: Interval{t1, t2}, K: k})
 			if !errors.Is(err, ErrCanceled) {
 				t.Fatalf("iter %d: canceled query returned %v, want ErrCanceled", i, err)
 			}
 			canceled++
 
 		case 1, 2: // tight node budget: degraded, certified ⊆ true top-k.
-			res, st, err := db.KMostSimilarOptsContext(context.Background(), &q, t1, t2, k, Options{
+			resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{t1, t2}, K: k, Options: Options{
 				MaxNodeAccesses: 1 + rng.Intn(4),
-			})
+			}})
 			if err != nil {
 				if !typedQueryError(err) {
 					t.Fatalf("iter %d: untyped error %v", i, err)
@@ -109,6 +109,7 @@ func TestFaultInjectionSoak(t *testing.T) {
 				failed++
 				break
 			}
+			res, st := resp.Results, resp.Stats
 			want := linearTopK(trajs, &q, t1, t2, k)
 			if st.Degraded {
 				degraded++
@@ -129,7 +130,7 @@ func TestFaultInjectionSoak(t *testing.T) {
 		case 3: // range query: typed error or exact against brute force.
 			minX, minY := rng.Float64()*80, rng.Float64()*80
 			maxX, maxY := minX+5+rng.Float64()*20, minY+5+rng.Float64()*20
-			hits, err := db.RangeQuery(minX, minY, maxX, maxY, t1, t2)
+			hits, err := db.Range(context.Background(), Window{minX, minY, maxX, maxY}, Interval{t1, t2})
 			if err != nil {
 				if !typedQueryError(err) {
 					t.Fatalf("iter %d: untyped error %v", i, err)
@@ -169,7 +170,7 @@ func TestFaultInjectionSoak(t *testing.T) {
 		case 4: // point-NN: typed error or exact against brute force.
 			x, y := rng.Float64()*100, rng.Float64()*100
 			at := t1
-			nn, err := db.NearestAt(x, y, at, k)
+			nn, err := db.Nearest(context.Background(), x, y, at, k)
 			if err != nil {
 				if !typedQueryError(err) {
 					t.Fatalf("iter %d: untyped error %v", i, err)
@@ -207,7 +208,7 @@ func TestFaultInjectionSoak(t *testing.T) {
 			correct++
 
 		default: // plain k-MST: typed error or exact against the oracle.
-			res, st, err := db.KMostSimilar(&q, t1, t2, k)
+			resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{t1, t2}, K: k})
 			if err != nil {
 				if !typedQueryError(err) {
 					t.Fatalf("iter %d: untyped error %v", i, err)
@@ -215,6 +216,7 @@ func TestFaultInjectionSoak(t *testing.T) {
 				failed++
 				break
 			}
+			res, st := resp.Results, resp.Stats
 			if st.Degraded {
 				t.Fatalf("iter %d: unbudgeted query reported Degraded", i)
 			}
@@ -265,10 +267,11 @@ func TestRecoverAfterCorruption(t *testing.T) {
 			want := linearTopK(trajs, &q, 2, 8, 3)
 
 			// Sanity: healthy database answers exactly.
-			res, _, err := db.KMostSimilar(&q, 2, 8, 3)
+			resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{2, 8}, K: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
+			res := resp.Results
 			checkExact(t, 0, res, want)
 
 			// Smash the root page. The warm pool may still hold a verified
@@ -278,7 +281,8 @@ func TestRecoverAfterCorruption(t *testing.T) {
 			if err := db.file.CorruptPage(root, 5); err != nil {
 				t.Fatal(err)
 			}
-			res, _, err = db.KMostSimilar(&q, 2, 8, 3)
+			resp, err = db.Query(context.Background(), Request{Q: &q, Interval: Interval{2, 8}, K: 3})
+			res = resp.Results
 			var pc ErrPageCorrupt
 			if err == nil {
 				checkExact(t, 0, res, want)
@@ -291,7 +295,7 @@ func TestRecoverAfterCorruption(t *testing.T) {
 			db.mu.Lock()
 			db.invalidate()
 			db.mu.Unlock()
-			_, _, err = db.KMostSimilar(&q, 2, 8, 3)
+			_, err = db.Query(context.Background(), Request{Q: &q, Interval: Interval{2, 8}, K: 3})
 			if !errors.As(err, &pc) {
 				t.Fatalf("corrupted index: got %v, want ErrPageCorrupt", err)
 			}
@@ -303,10 +307,11 @@ func TestRecoverAfterCorruption(t *testing.T) {
 			if err := db.Recover(); err != nil {
 				t.Fatal(err)
 			}
-			res, st, err := db.KMostSimilar(&q, 2, 8, 3)
+			resp, err = db.Query(context.Background(), Request{Q: &q, Interval: Interval{2, 8}, K: 3})
 			if err != nil {
 				t.Fatalf("query after Recover: %v", err)
 			}
+			res, st := resp.Results, resp.Stats
 			if st.Degraded {
 				t.Fatal("query after Recover reported Degraded")
 			}
@@ -378,7 +383,8 @@ func TestWarmStripedPoolSoak(t *testing.T) {
 		// Eight serial queries...
 		for j := 0; j < 8; j++ {
 			q, t1, t2, k := newQuery()
-			res, st, err := db.KMostSimilarOpts(&q, t1, t2, k, opts)
+			resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{t1, t2}, K: k, Options: opts})
+			res, st := resp.Results, resp.Stats
 			retries += st.Retries
 			c, f := check(i*100+j, &q, t1, t2, k, res, err)
 			if c {

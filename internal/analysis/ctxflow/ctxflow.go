@@ -11,18 +11,12 @@
 //
 // Functions without a context parameter are exempt — they are the
 // documented no-ctx compatibility wrappers, whose context.Background()
-// call is the designed API boundary. Functions whose doc comment carries
-// the standard "Deprecated:" marker are exempt too: a deprecated wrapper
-// exists only to forward old call sites to its canonical replacement, and
-// that replacement (e.g. DB.Query) is often the method the wrapper's
-// FooContext sibling would shadow — the enforced surface is the
-// replacement, not the shim kept for compatibility.
+// call is the designed API boundary.
 package ctxflow
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"mstsearch/internal/analysis"
 )
@@ -45,21 +39,10 @@ func run(pass *analysis.Pass) error {
 			if !hasCtxParam(pass.TypesInfo, fd) {
 				continue
 			}
-			if isDeprecated(fd) {
-				continue
-			}
 			checkBody(pass, fd)
 		}
 	}
 	return nil
-}
-
-// isDeprecated reports whether the function's doc comment carries the
-// standard "Deprecated:" marker. Deprecated wrappers are frozen
-// compatibility shims — their job is to forward to the canonical
-// replacement verbatim, so ctxflow does not police their bodies.
-func isDeprecated(fd *ast.FuncDecl) bool {
-	return fd.Doc != nil && strings.Contains(fd.Doc.Text(), "Deprecated:")
 }
 
 // hasCtxParam reports whether the function declares a context.Context

@@ -9,7 +9,7 @@ import (
 
 func TestCtxflow(t *testing.T) {
 	diags := analysistest.Run(t, ctxflow.Analyzer, "testdata/ctxflow")
-	if len(diags) != 4 {
-		t.Errorf("got %d diagnostics, want 4", len(diags))
+	if len(diags) != 6 {
+		t.Errorf("got %d diagnostics, want 6", len(diags))
 	}
 }

@@ -44,23 +44,21 @@ func goodMethod(ctx context.Context, db *DB) error {
 	return db.QueryContext(ctx)
 }
 
-// Run is the canonical context-first entry point the deprecated wrappers
-// below forward to.
-func (db *DB) Run(ctx context.Context) error { return ctx.Err() }
+// A "Deprecated:" marker buys no exemption: a function that receives a
+// context must pass it on like any other.
 
-// OldQueryContext retains the legacy name for old call sites.
+// OldQueryContext retains a legacy name for old call sites.
 //
-// Deprecated: use DB.Run. The wrapper's call to the non-Context canonical
-// method must not trip the sibling check.
+// Deprecated: use DB.QueryContext.
 func (db *DB) OldQueryContext(ctx context.Context) error {
-	return db.Query() // exempt: declaration is marked Deprecated
+	return db.Query() // want "Query has a context-aware sibling QueryContext"
 }
 
-// Detached keeps the legacy detach-from-caller semantics.
+// Detached keeps a legacy detach-from-caller behaviour.
 //
-// Deprecated: use DB.Run with the caller's context.
+// Deprecated: use SearchContext with the caller's context.
 func Detached(ctx context.Context) error {
-	return SearchContext(context.Background()) // exempt: declaration is marked Deprecated
+	return SearchContext(context.Background()) // want "context.Background inside Detached"
 }
 
 func suppressed(ctx context.Context) error {

@@ -54,14 +54,9 @@ func Canceled(ctx context.Context) error {
 	}
 }
 
-// RangeSearch returns every leaf entry whose bound intersects box —
-// the classical spatiotemporal window query.
-func RangeSearch(t Tree, box geom.MBB) ([]LeafEntry, error) {
-	return RangeSearchContext(context.Background(), t, box)
-}
-
-// RangeSearchContext is RangeSearch under a context: cancellation is
-// checked before every node read.
+// RangeSearchContext returns every leaf entry whose bound intersects box —
+// the classical spatiotemporal window query. Cancellation is checked
+// before every node read.
 func RangeSearchContext(ctx context.Context, t Tree, box geom.MBB) ([]LeafEntry, error) {
 	root := t.Root()
 	if root == storage.NilPage {
@@ -123,18 +118,13 @@ func (q *nnQueue) Pop() any {
 	return it
 }
 
-// NearestAt answers the historical point-NN query: the k moving objects
-// closest to point p at time instant t (after the NN algorithms of [6]).
-// It traverses nodes best-first by spatial MINDIST, skipping subtrees whose
-// time span does not contain t, and terminates once the next node cannot
-// beat the current k-th distance. Each object is reported once, at its
-// interpolated position's distance.
-func NearestAt(tr Tree, p geom.Point, t float64, k int) ([]NNResult, error) {
-	return NearestAtContext(context.Background(), tr, p, t, k)
-}
-
-// NearestAtContext is NearestAt under a context: cancellation is checked
-// before every node read.
+// NearestAtContext answers the historical point-NN query: the k moving
+// objects closest to point p at time instant t (after the NN algorithms of
+// [6]). It traverses nodes best-first by spatial MINDIST, skipping subtrees
+// whose time span does not contain t, and terminates once the next node
+// cannot beat the current k-th distance. Each object is reported once, at
+// its interpolated position's distance. Cancellation is checked before
+// every node read.
 func NearestAtContext(ctx context.Context, tr Tree, p geom.Point, t float64, k int) ([]NNResult, error) {
 	if k < 1 {
 		k = 1

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -74,7 +75,7 @@ func TestGenericRangeSearch(t *testing.T) {
 		box.MaxX = box.MinX + 25
 		box.MaxY = box.MinY + 25
 		box.MaxT = box.MinT + 25
-		got, err := RangeSearch(tree, box)
+		got, err := RangeSearchContext(context.Background(), tree, box)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func TestGenericRangeSearch(t *testing.T) {
 
 func TestGenericRangeSearchEmpty(t *testing.T) {
 	m := &memTree{nodes: map[storage.PageID]*Node{}, root: storage.NilPage}
-	got, err := RangeSearch(m, geom.MBB{MaxX: 1, MaxY: 1, MaxT: 1})
+	got, err := RangeSearchContext(context.Background(), m, geom.MBB{MaxX: 1, MaxY: 1, MaxT: 1})
 	if err != nil || got != nil {
 		t.Fatalf("empty tree range: %v, %v", got, err)
 	}
@@ -106,7 +107,7 @@ func TestNearestAtMatchesBruteForce(t *testing.T) {
 		p := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 		tt := rng.Float64() * 100
 		k := 1 + rng.Intn(4)
-		got, err := NearestAt(tree, p, tt, k)
+		got, err := NearestAtContext(context.Background(), tree, p, tt, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func TestNearestAtNoObjectAlive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	entries := randEntries(rng, 50)
 	tree := buildMemTree(entries, 16)
-	got, err := NearestAt(tree, geom.Point{}, 1e9, 2)
+	got, err := NearestAtContext(context.Background(), tree, geom.Point{}, 1e9, 2)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("no-alive query: %v, %v", got, err)
 	}

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -132,7 +133,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 		box.MaxX = box.MinX + rng.Float64()*30
 		box.MaxY = box.MinY + rng.Float64()*30
 		box.MaxT = box.MinT + rng.Float64()*300
-		got, err := index.RangeSearch(tr, box)
+		got, err := index.RangeSearchContext(context.Background(), tr, box)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +191,7 @@ func TestBulkLoadEquivalence(t *testing.T) {
 		box.MaxX = box.MinX + 20
 		box.MaxY = box.MinY + 20
 		box.MaxT = box.MinT + 200
-		got, err := index.RangeSearch(tr, box)
+		got, err := index.RangeSearchContext(context.Background(), tr, box)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,11 +410,11 @@ func TestRStarTreeInvariantsAndEquivalence(t *testing.T) {
 		box.MaxX = box.MinX + 25
 		box.MaxY = box.MinY + 25
 		box.MaxT = box.MinT + 250
-		a, err := index.RangeSearch(rstar, box)
+		a, err := index.RangeSearchContext(context.Background(), rstar, box)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := index.RangeSearch(quad, box)
+		b, err := index.RangeSearchContext(context.Background(), quad, box)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func TestQueryMetricThroughCoalescedCluster(t *testing.T) {
 	c := newTestCluster(t, mstsearch.NTree, 60)
 	want, err := c.Query(context.Background(), mstsearch.Request{
 		Q: &q, Interval: mstsearch.Interval{T1: body.T1, T2: body.T2}, K: body.K,
-		Metric: mstsearch.MetricDTW, Options: mstsearch.DefaultOptions(),
+		Metric: mstsearch.MetricDTW,
 	})
 	if err != nil {
 		t.Fatalf("cluster DTW query: %v", err)

@@ -169,8 +169,7 @@ func NewEngine(db Engine, cfg Config) *Server {
 		cancel: cancel,
 	}
 	if cfg.CoalesceWindow > 0 {
-		o := mstsearch.DefaultOptions()
-		o.Parallelism = cfg.Parallelism
+		o := mstsearch.Options{Parallelism: cfg.Parallelism}
 		s.coal = newCoalescer(db, base, o, cfg.CoalesceWindow, cfg.CoalesceMax)
 	}
 
@@ -302,15 +301,15 @@ func (s *Server) budgetFor(tenant string) Budget {
 	return s.cfg.Budgets
 }
 
-// optionsFor builds the engine options for one request of a tenant:
-// the recommended defaults plus the tenant's budget caps.
+// optionsFor builds the engine options for one request of a tenant: the
+// tenant's budget caps and the server's batch parallelism.
 func (s *Server) optionsFor(tenant string) mstsearch.Options {
-	o := mstsearch.DefaultOptions()
 	b := s.budgetFor(tenant)
-	o.MaxNodeAccesses = b.MaxNodeAccesses
-	o.MaxIOReads = b.MaxIOReads
-	o.Parallelism = s.cfg.Parallelism
-	return o
+	return mstsearch.Options{
+		MaxNodeAccesses: b.MaxNodeAccesses,
+		MaxIOReads:      b.MaxIOReads,
+		Parallelism:     s.cfg.Parallelism,
+	}
 }
 
 // decode parses a JSON body into v, typing failures as bad_request.

@@ -129,3 +129,18 @@ func TestGatherLowestShardErrorWins(t *testing.T) {
 		t.Fatalf("Range with shards 1 and 2 down = %d hits, %v; want shard 1's ErrUnavailable", len(hits), err)
 	}
 }
+
+// TestNilQueryIsBadQuery: the cluster types a missing query trajectory as
+// ErrBadQuery on its query and explain paths, as a single DB does.
+func TestNilQueryIsBadQuery(t *testing.T) {
+	c := twinCluster(t)
+	defer c.Close()
+	ctx := context.Background()
+	req := mstsearch.Request{Interval: mstsearch.Interval{T1: 0.2, T2: 0.8}, K: 3}
+	if _, err := c.Query(ctx, req); !errors.Is(err, mstsearch.ErrBadQuery) {
+		t.Errorf("Query with a nil query: got %v, want ErrBadQuery", err)
+	}
+	if _, err := c.Explain(ctx, req); !errors.Is(err, mstsearch.ErrBadQuery) {
+		t.Errorf("Explain with a nil query: got %v, want ErrBadQuery", err)
+	}
+}

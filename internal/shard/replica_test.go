@@ -320,10 +320,11 @@ func checkRepairKeepsWarmBuffer(t *testing.T, c *Cluster) {
 	check := func(when string) {
 		var reads [2]uint64
 		for i := range reads {
-			_, st, err := c.Replica(0, 0).KMostSimilar(q, 10, 20, 3)
+			resp, err := c.Replica(0, 0).Query(context.Background(), mstsearch.Request{Q: q, Interval: mstsearch.Interval{T1: 10, T2: 20}, K: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
+			st := resp.Stats
 			reads[i] = st.PageReads
 		}
 		if reads[1] >= reads[0] {

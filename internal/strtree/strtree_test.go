@@ -2,6 +2,7 @@ package strtree
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -283,7 +284,7 @@ func TestGenericRangeSearchOnSTRTree(t *testing.T) {
 		box.MaxX = box.MinX + rng.Float64()*30
 		box.MaxY = box.MinY + rng.Float64()*30
 		box.MaxT = box.MinT + rng.Float64()*20
-		got, err := index.RangeSearch(tr, box)
+		got, err := index.RangeSearchContext(context.Background(), tr, box)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package tbtree
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -192,7 +193,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 		box.MaxX = box.MinX + rng.Float64()*30
 		box.MaxY = box.MinY + rng.Float64()*30
 		box.MaxT = box.MinT + rng.Float64()*20
-		got, err := index.RangeSearch(tr, box)
+		got, err := index.RangeSearchContext(context.Background(), tr, box)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +315,7 @@ func TestEmptyTree(t *testing.T) {
 	if cnt, err := tr.CheckInvariants(); err != nil || cnt != 0 {
 		t.Fatalf("empty invariants: %d, %v", cnt, err)
 	}
-	got, err := index.RangeSearch(tr, geom.MBB{MaxX: 1, MaxY: 1, MaxT: 1})
+	got, err := index.RangeSearchContext(context.Background(), tr, geom.MBB{MaxX: 1, MaxY: 1, MaxT: 1})
 	if err != nil || got != nil {
 		t.Fatalf("empty range search: %v, %v", got, err)
 	}

@@ -30,15 +30,17 @@ func TestMetamorphicKPrefix(t *testing.T) {
 				q := oracleQuery(rng, 61)
 				t1, t2 := oracleWindow(rng)
 				const kMax = 8
-				full, _, err := db.KMostSimilar(q, t1, t2, kMax)
+				resp, err := db.Query(context.Background(), Request{Q: q, Interval: Interval{t1, t2}, K: kMax})
 				if err != nil {
 					t.Fatal(err)
 				}
+				full := resp.Results
 				for _, kSmall := range []int{1, 3, kMax - 1} {
-					pre, _, err := db.KMostSimilar(q, t1, t2, kSmall)
+					resp, err := db.Query(context.Background(), Request{Q: q, Interval: Interval{t1, t2}, K: kSmall})
 					if err != nil {
 						t.Fatal(err)
 					}
+					pre := resp.Results
 					want := full
 					if len(want) > kSmall {
 						want = want[:kSmall]
@@ -77,7 +79,7 @@ func TestMetamorphicLifespanNonCovering(t *testing.T) {
 					t.Fatal(err)
 				}
 				for k := 1; k <= 8; k++ {
-					req.K, req.Options = k, DefaultOptions()
+					req.K = k
 					want, err := base.Query(context.Background(), req)
 					if err != nil {
 						t.Fatal(err)
@@ -119,10 +121,11 @@ func TestMetamorphicDuplicate(t *testing.T) {
 					q.Samples[j].X += rng.NormFloat64() * 0.01
 					q.Samples[j].Y += rng.NormFloat64() * 0.01
 				}
-				res, _, err := db.KMostSimilar(&q, 0, 1, len(withDup))
+				resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{0, 1}, K: len(withDup)})
 				if err != nil {
 					t.Fatal(err)
 				}
+				res := resp.Results
 				var dOrig, dCopy float64
 				foundOrig, foundCopy := false, false
 				for _, r := range res {
@@ -184,14 +187,16 @@ func TestMetamorphicWindowShrink(t *testing.T) {
 				// Through the index: the same inequality for results
 				// surviving in both top-k answers.
 				const k = 10
-				full, _, err := db.KMostSimilar(q, t1, t2, k)
+				resp, err := db.Query(context.Background(), Request{Q: q, Interval: Interval{t1, t2}, K: k})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sub, _, err := db.KMostSimilar(q, s1, s2, k)
+				full := resp.Results
+				resp, err = db.Query(context.Background(), Request{Q: q, Interval: Interval{s1, s2}, K: k})
 				if err != nil {
 					t.Fatal(err)
 				}
+				sub := resp.Results
 				fullBy := make(map[ID]float64, len(full))
 				for _, r := range full {
 					fullBy[r.TrajID] = r.Dissim

@@ -11,7 +11,9 @@
 // # Quick start
 //
 //	db, err := mstsearch.NewDB(mstsearch.TBTree, trajectories)
-//	results, stats, err := db.KMostSimilar(&query, t1, t2, 5)
+//	resp, err := db.Query(ctx, mstsearch.Request{
+//		Q: &query, Interval: mstsearch.Interval{T1: t1, T2: t2}, K: 5,
+//	})
 //
 // The package also exposes the building blocks: exact and approximate
 // DISSIM between two trajectories, the LCSS/EDR/DTW baseline measures, and
@@ -581,48 +583,6 @@ func (db *DB) view() index.Index {
 	return db.eng.view(db.pool)
 }
 
-// KMostSimilar runs a k-MST query: the k stored trajectories with the
-// smallest DISSIM from q over the period [t1, t2] (both q and the answers
-// must be defined throughout the period). Results come back most similar
-// first with exact dissimilarities.
-//
-// Deprecated: use [DB.Query] with [DefaultOptions], the canonical
-// context-first entry point. This wrapper remains for compatibility and
-// will not be removed, but new call sites should not be written against
-// it.
-func (db *DB) KMostSimilar(q *Trajectory, t1, t2 float64, k int) ([]Result, SearchStats, error) {
-	r, err := db.Query(context.Background(), Request{Q: q, Interval: Interval{t1, t2}, K: k, Options: DefaultOptions()})
-	return r.Results, r.Stats, err
-}
-
-// KMostSimilarContext is KMostSimilar under a context: a canceled or
-// expired context aborts the search between node visits with an error
-// wrapping ErrCanceled.
-//
-// Deprecated: use [DB.Query] with [DefaultOptions].
-func (db *DB) KMostSimilarContext(ctx context.Context, q *Trajectory, t1, t2 float64, k int) ([]Result, SearchStats, error) {
-	r, err := db.Query(ctx, Request{Q: q, Interval: Interval{t1, t2}, K: k, Options: DefaultOptions()})
-	return r.Results, r.Stats, err
-}
-
-// KMostSimilarOpts is KMostSimilar with explicit Options.
-//
-// Deprecated: use [DB.Query].
-func (db *DB) KMostSimilarOpts(q *Trajectory, t1, t2 float64, k int, o Options) ([]Result, SearchStats, error) {
-	r, err := db.Query(context.Background(), Request{Q: q, Interval: Interval{t1, t2}, K: k, Options: o})
-	return r.Results, r.Stats, err
-}
-
-// KMostSimilarOptsContext is the fully explicit legacy k-MST entry point:
-// context-aware and Options-tuned.
-//
-// Deprecated: use [DB.Query], which carries the same capabilities on a
-// single Request/Response pair.
-func (db *DB) KMostSimilarOptsContext(ctx context.Context, q *Trajectory, t1, t2 float64, k int, o Options) ([]Result, SearchStats, error) {
-	r, err := db.Query(ctx, Request{Q: q, Interval: Interval{t1, t2}, K: k, Options: o})
-	return r.Results, r.Stats, err
-}
-
 // kMostSimilar runs one k-MST / metric-kNN query through the DB's buffer
 // pool — the common core of the single-query entry points, explain and
 // the batch executor. Callers must hold db.mu (read side). The I/O fields
@@ -704,33 +664,6 @@ func (db *DB) kMostSimilar(ctx context.Context, q *Trajectory, t1, t2 float64, k
 	}, nil
 }
 
-// KMostSimilarTo finds the k stored trajectories most similar to the
-// stored trajectory id over [t1, t2], excluding the trajectory itself.
-func (db *DB) KMostSimilarTo(id ID, t1, t2 float64, k int) ([]Result, SearchStats, error) {
-	tr := db.Get(id)
-	if tr == nil {
-		return nil, SearchStats{}, fmt.Errorf("mstsearch: unknown trajectory %d", id)
-	}
-	q := tr.Clone()
-	o := DefaultOptions()
-	o.ExcludeIDs = []ID{id}
-	r, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{t1, t2}, K: k, Options: o})
-	return r.Results, r.Stats, err
-}
-
-// KMostSimilarAuto answers a k-MST query through whichever execution plan
-// the selectivity cost model predicts is cheaper (see [DB.QueryAuto]).
-// The bool reports whether the index was used.
-//
-// Deprecated: use [DB.QueryAuto], which evaluates the plan choice and the
-// query under one consistent snapshot of the store.
-func (db *DB) KMostSimilarAuto(q *Trajectory, t1, t2 float64, k int) ([]Result, SearchStats, bool, error) {
-	r, usedIndex, err := db.QueryAuto(context.Background(), Request{
-		Q: q, Interval: Interval{t1, t2}, K: k, Options: DefaultOptions(),
-	})
-	return r.Results, r.Stats, usedIndex, err
-}
-
 // Dissimilarity returns the exact DISSIM between two trajectories over
 // [t1, t2]; ok is false when either does not cover the period.
 func Dissimilarity(q, t *Trajectory, t1, t2 float64) (float64, bool) {
@@ -782,41 +715,10 @@ func (h SegmentHit) Start() STPoint { return STPoint{X: h.X1, Y: h.Y1, T: h.T1} 
 // End returns the segment's later endpoint as a typed point.
 func (h SegmentHit) End() STPoint { return STPoint{X: h.X2, Y: h.Y2, T: h.T2} }
 
-// RangeQuery returns every stored segment intersecting the spatial window
-// [minX, maxX] × [minY, maxY] during [t1, t2].
-//
-// Deprecated: use [DB.Range], which takes typed Window/Interval values
-// instead of six positional floats.
-func (db *DB) RangeQuery(minX, minY, maxX, maxY, t1, t2 float64) ([]SegmentHit, error) {
-	return db.Range(context.Background(), Window{minX, minY, maxX, maxY}, Interval{t1, t2})
-}
-
-// RangeQueryContext is RangeQuery under a context.
-//
-// Deprecated: use [DB.Range].
-func (db *DB) RangeQueryContext(ctx context.Context, minX, minY, maxX, maxY, t1, t2 float64) ([]SegmentHit, error) {
-	return db.Range(ctx, Window{minX, minY, maxX, maxY}, Interval{t1, t2})
-}
-
 // Neighbor is one historical point-NN answer.
 type Neighbor struct {
 	TrajID ID
 	Dist   float64
-}
-
-// NearestAt returns the k moving objects closest to point (x, y) at time
-// instant t.
-//
-// Deprecated: use [DB.Nearest], the context-first equivalent.
-func (db *DB) NearestAt(x, y, t float64, k int) ([]Neighbor, error) {
-	return db.Nearest(context.Background(), x, y, t, k)
-}
-
-// NearestAtContext is NearestAt under a context.
-//
-// Deprecated: use [DB.Nearest].
-func (db *DB) NearestAtContext(ctx context.Context, x, y, t float64, k int) ([]Neighbor, error) {
-	return db.Nearest(ctx, x, y, t, k)
 }
 
 // TopologyResult describes how one stored trajectory relates to a queried
@@ -831,45 +733,12 @@ type TopologyResult struct {
 	InsideDuration float64
 }
 
-// TopologyQuery classifies every stored trajectory that touches the
-// spatial region [minX, maxX] × [minY, maxY] during [t1, t2] by its
-// topological relation (enter/leave/cross/…).
-//
-// Deprecated: use [DB.Topology], which takes typed Window/Interval values
-// instead of six positional floats.
-func (db *DB) TopologyQuery(minX, minY, maxX, maxY, t1, t2 float64) ([]TopologyResult, error) {
-	return db.Topology(context.Background(), Window{minX, minY, maxX, maxY}, Interval{t1, t2})
-}
-
-// TopologyQueryContext is TopologyQuery under a context.
-//
-// Deprecated: use [DB.Topology].
-func (db *DB) TopologyQueryContext(ctx context.Context, minX, minY, maxX, maxY, t1, t2 float64) ([]TopologyResult, error) {
-	return db.Topology(ctx, Window{minX, minY, maxX, maxY}, Interval{t1, t2})
-}
-
 // RelaxedResult is one time-relaxed k-MST answer: the best DISSIM over all
 // feasible time shifts of the query, and the shift achieving it.
 type RelaxedResult struct {
 	TrajID ID
 	Dissim float64
 	Offset float64
-}
-
-// KMostSimilarRelaxed answers the Time-Relaxed MST query (the paper's §6
-// research direction): the k trajectories minimizing DISSIM over every
-// feasible time shift of the query.
-//
-// Deprecated: use [DB.Relaxed], the context-first equivalent.
-func (db *DB) KMostSimilarRelaxed(q *Trajectory, k int) ([]RelaxedResult, error) {
-	return db.Relaxed(context.Background(), q, k)
-}
-
-// KMostSimilarRelaxedContext is KMostSimilarRelaxed under a context.
-//
-// Deprecated: use [DB.Relaxed].
-func (db *DB) KMostSimilarRelaxedContext(ctx context.Context, q *Trajectory, k int) ([]RelaxedResult, error) {
-	return db.Relaxed(ctx, q, k)
 }
 
 // QueryCostEstimate prices a k-MST query before running it (see package
@@ -887,7 +756,7 @@ type QueryCostEstimate struct {
 	RangeSelectivity float64
 }
 
-// EstimateQueryCost predicts the work a KMostSimilar call would perform,
+// EstimateQueryCost predicts the work a k-MST query would perform,
 // using a 3D histogram over the stored segments (built lazily, cached
 // until the next Add).
 func (db *DB) EstimateQueryCost(q *Trajectory, t1, t2 float64, k int) (QueryCostEstimate, error) {
@@ -900,6 +769,9 @@ func (db *DB) EstimateQueryCost(q *Trajectory, t1, t2 float64, k int) (QueryCost
 // so QueryAuto and Explain can price and execute a query against one
 // consistent snapshot of the store. Callers must hold db.mu (either side).
 func (db *DB) estimateQueryCostLocked(q *Trajectory, t1, t2 float64, k int) (QueryCostEstimate, error) {
+	if q == nil {
+		return QueryCostEstimate{}, fmt.Errorf("%w: nil query trajectory", ErrBadQuery)
+	}
 	h, err := db.histogram()
 	if err != nil {
 		return QueryCostEstimate{}, err
@@ -917,14 +789,6 @@ func (db *DB) estimateQueryCostLocked(q *Trajectory, t1, t2 float64, k int) (Que
 		ExpectedLeafPages: est.LeafPages,
 		RangeSelectivity:  h.Selectivity(box),
 	}, nil
-}
-
-// EstimateRangeCount predicts how many segments a RangeQuery would return.
-//
-// Deprecated: use [DB.EstimateRange], which takes typed Window/Interval
-// values instead of six positional floats.
-func (db *DB) EstimateRangeCount(minX, minY, maxX, maxY, t1, t2 float64) (float64, error) {
-	return db.EstimateRange(Window{minX, minY, maxX, maxY}, Interval{t1, t2})
 }
 
 // histogram lazily builds the selectivity histogram (resolution grows with

@@ -1,6 +1,7 @@
 package mstsearch
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -73,10 +74,11 @@ func TestKMostSimilarFindsPlantedTwin(t *testing.T) {
 			q.Samples[i].X += rng.NormFloat64() * 0.05
 			q.Samples[i].Y += rng.NormFloat64() * 0.05
 		}
-		res, stats, err := db.KMostSimilar(&q, 0, 10, 3)
+		resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{0, 10}, K: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
+		res, stats := resp.Results, resp.Stats
 		if len(res) != 3 {
 			t.Fatalf("%s: %d results", kind, len(res))
 		}
@@ -101,10 +103,11 @@ func TestKMostSimilarMatchesPairwiseDissimilarity(t *testing.T) {
 	}
 	q := trajs[4].Clone()
 	q.ID = 0
-	res, _, err := db.KMostSimilar(&q, 2, 8, 5)
+	resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{2, 8}, K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := resp.Results
 	for _, r := range res {
 		want, ok := Dissimilarity(&q, db.Get(r.TrajID), 2, 8)
 		if !ok {
@@ -167,10 +170,11 @@ func TestCompressTDTR(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.ID = 0
-	res, _, err := db.KMostSimilar(&c, 0, 99, 1)
+	resp, err := db.Query(context.Background(), Request{Q: &c, Interval: Interval{0, 99}, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := resp.Results
 	if len(res) != 1 || res[0].TrajID != 1 {
 		t.Fatalf("compressed query result: %+v", res)
 	}
@@ -197,10 +201,11 @@ func TestAppendSample(t *testing.T) {
 			{X: last.X, Y: last.Y, T: last.T},
 			{X: last.X + 1, Y: last.Y, T: last.T + 1},
 		}}
-		res, _, err := db.KMostSimilar(&q, last.T, last.T+1, 1)
+		resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{last.T, last.T + 1}, K: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
+		res := resp.Results
 		if len(res) != 1 || res[0].TrajID != 3 {
 			t.Fatalf("%s: appended tail not found: %+v", kind, res)
 		}
@@ -214,17 +219,19 @@ func TestAppendSample(t *testing.T) {
 	}
 }
 
-func TestKMostSimilarTo(t *testing.T) {
+func TestQueryExcludeIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	trajs := fleet(rng, 20, 30)
 	db, err := NewDB(RTree3D, trajs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := db.KMostSimilarTo(5, 0, 10, 3)
+	q := db.Get(5)
+	resp, err := db.Query(context.Background(), Request{Q: q, Interval: Interval{0, 10}, K: 3, Options: Options{ExcludeIDs: []ID{5}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := resp.Results
 	if len(res) != 3 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -236,7 +243,6 @@ func TestKMostSimilarTo(t *testing.T) {
 	// Ground truth: pairwise DISSIM of the winner must be minimal among
 	// the others.
 	best := res[0]
-	q := db.Get(5)
 	for id := ID(1); id <= 20; id++ {
 		if id == 5 {
 			continue
@@ -250,12 +256,9 @@ func TestKMostSimilarTo(t *testing.T) {
 				id, d, best.TrajID, best.Dissim)
 		}
 	}
-	if _, _, err := db.KMostSimilarTo(999, 0, 10, 1); err == nil {
-		t.Fatal("unknown id must error")
-	}
 }
 
-func TestKMostSimilarAutoAgreesWithIndex(t *testing.T) {
+func TestQueryAutoAgreesWithIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	trajs := fleet(rng, 30, 40)
 	db, err := NewDB(RTree3D, trajs)
@@ -265,14 +268,16 @@ func TestKMostSimilarAutoAgreesWithIndex(t *testing.T) {
 	// Narrow query → index plan.
 	q := trajs[2].Clone()
 	q.ID = 0
-	auto, _, usedIndex, err := db.KMostSimilarAuto(&q, 2, 4, 2)
+	got, usedIndex, err := db.QueryAuto(context.Background(), Request{Q: &q, Interval: Interval{2, 4}, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := db.KMostSimilar(&q, 2, 4, 2)
+	auto := got.Results
+	resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{2, 4}, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := resp.Results
 	if len(auto) != len(want) {
 		t.Fatalf("auto plan returned %d results, want %d", len(auto), len(want))
 	}
@@ -303,10 +308,11 @@ func TestGeoImportFacade(t *testing.T) {
 	}
 	q := tr.Clone()
 	q.ID = 0
-	res, _, err := db.KMostSimilar(&q, 0, 60, 1)
+	resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{0, 60}, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := resp.Results
 	if len(res) != 1 || res[0].TrajID != 1 || res[0].Dissim > 1e-6 {
 		t.Fatalf("GPS-imported self query: %+v", res)
 	}

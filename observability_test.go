@@ -43,7 +43,7 @@ func TestQueryTraceSummaryReconciles(t *testing.T) {
 
 	delivered := 0
 	perKind := map[EventKind]int{}
-	o := DefaultOptions()
+	var o Options
 	o.Trace = func(ev TraceEvent) {
 		delivered++
 		perKind[ev.Kind]++
@@ -87,9 +87,7 @@ func TestQueryTraceSummaryReconciles(t *testing.T) {
 	}
 
 	// Untraced query: no summary, same answers.
-	plain, err := db.Query(context.Background(), Request{
-		Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3, Options: DefaultOptions(),
-	})
+	plain, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +177,7 @@ func TestMetricQueryNoAllocRegression(t *testing.T) {
 	}
 	q := obsFleet(43)[0]
 	q.ID = 0
-	req := Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3, Metric: MetricDTW, Options: DefaultOptions()}
+	req := Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3, Metric: MetricDTW}
 	ctx := context.Background()
 	if _, err := db.Query(ctx, req); err != nil {
 		t.Fatal(err)
@@ -206,9 +204,7 @@ func TestMetricsSnapshot(t *testing.T) {
 	q.ID = 0
 
 	before := db.Metrics()
-	if _, err := db.Query(context.Background(), Request{
-		Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3, Options: DefaultOptions(),
-	}); err != nil {
+	if _, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Range(context.Background(), Window{MinX: 0, MinY: 0, MaxX: 50, MaxY: 50}, Interval{T1: 0, T2: 50}); err != nil {
@@ -253,7 +249,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	q := obsFleet(47)[0]
 	q.ID = 0
-	req := Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 2, Options: DefaultOptions()}
+	req := Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 2}
 	ctx := context.Background()
 
 	if _, err := db.Query(ctx, req); err != nil {
@@ -349,9 +345,7 @@ func TestExplainReconciles(t *testing.T) {
 	}
 	q := obsFleet(50)[0]
 	q.ID = 0
-	rep, err := db.Explain(context.Background(), Request{
-		Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3, Options: DefaultOptions(),
-	})
+	rep, err := db.Explain(context.Background(), Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +381,7 @@ func TestExplainReconciles(t *testing.T) {
 
 	// A caller hook still sees every event under Explain.
 	seen := 0
-	o := DefaultOptions()
+	var o Options
 	o.Trace = func(TraceEvent) { seen++ }
 	rep2, err := db.Explain(context.Background(), Request{
 		Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3, Options: o,
@@ -410,18 +404,14 @@ func TestQueryAutoSnapshotAndStats(t *testing.T) {
 	}
 	q := obsFleet(52)[0]
 	q.ID = 0
-	resp, usedIndex, err := db.QueryAuto(context.Background(), Request{
-		Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3, Options: DefaultOptions(),
-	})
+	resp, usedIndex, err := db.QueryAuto(context.Background(), Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if usedIndex && resp.Stats.NodesAccessed == 0 {
 		t.Error("index plan returned no node-access stats")
 	}
-	want, err := db.Query(context.Background(), Request{
-		Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3, Options: DefaultOptions(),
-	})
+	want, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +443,7 @@ func benchmarkQuery(b *testing.B, traced bool) {
 	}
 	q := obsFleet(43)[0]
 	q.ID = 0
-	o := DefaultOptions()
+	var o Options
 	if traced {
 		o.Trace = func(TraceEvent) {}
 	}

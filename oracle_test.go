@@ -130,10 +130,9 @@ func TestDifferentialOracle(t *testing.T) {
 					k := 1 + rng.Intn(5)
 					want := linearTopK(trajs, q, t1, t2, k)
 
-					// Serial leg through the canonical Query entry point,
-					// parallel leg through the deprecated wrapper: the
-					// bit-identical check then also certifies that the two
-					// entry points are the same search.
+					// Serial leg through Query, parallel leg through
+					// Explain: the bit-identical check then also certifies
+					// that the two entry points are the same search.
 					resp, err := db.Query(context.Background(), Request{
 						Q: q, Interval: Interval{T1: t1, T2: t2}, K: k,
 						Options: Options{Parallelism: 1},
@@ -144,11 +143,14 @@ func TestDifferentialOracle(t *testing.T) {
 					serial := resp.Results
 					checkOracle(t, "serial", i, serial, want)
 
-					par, _, err := db.KMostSimilarOpts(q, t1, t2, k,
-						Options{Parallelism: 4})
+					rep, err := db.Explain(context.Background(), Request{
+						Q: q, Interval: Interval{T1: t1, T2: t2}, K: k,
+						Options: Options{Parallelism: 4},
+					})
 					if err != nil {
 						t.Fatalf("iter %d parallel: %v", i, err)
 					}
+					par := rep.Results
 					checkOracle(t, "parallel", i, par, want)
 					checkBitIdentical(t, "single", i, serial, par)
 
@@ -282,10 +284,11 @@ func TestOracleSelfQuery(t *testing.T) {
 		}
 		for _, id := range []int{0, 7, 24} {
 			q := trajs[id].Clone()
-			res, _, err := db.KMostSimilar(&q, 0, 1, 1)
+			resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{0, 1}, K: 1})
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
+			res := resp.Results
 			if len(res) != 1 || res[0].TrajID != trajs[id].ID {
 				t.Fatalf("%s: self-query for traj %d returned %+v", kind, trajs[id].ID, res)
 			}

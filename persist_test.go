@@ -26,10 +26,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 		q := trajs[6].Clone()
 		q.ID = 0
-		want, _, err := db.KMostSimilar(&q, 0, 10, 3)
+		resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{0, 10}, K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := resp.Results
 
 		path := filepath.Join(dir, kind.String()+".mstdb")
 		if err := db.Save(path); err != nil {
@@ -45,10 +46,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if got.IndexSizeMB() != db.IndexSizeMB() {
 			t.Fatalf("%s: loaded index size differs", kind)
 		}
-		res, _, err := got.KMostSimilar(&q, 0, 10, 3)
+		resp, err = got.Query(context.Background(), Request{Q: &q, Interval: Interval{0, 10}, K: 3})
 		if err != nil {
 			t.Fatalf("%s: query after load: %v", kind, err)
 		}
+		res := resp.Results
 		if len(res) != len(want) {
 			t.Fatalf("%s: result count differs", kind)
 		}
@@ -83,10 +85,11 @@ func TestLoadedRTreeAcceptsInserts(t *testing.T) {
 	}
 	q := extra.Clone()
 	q.ID = 0
-	res, _, err := got.KMostSimilar(&q, 0, 10, 1)
+	resp, err := got.Query(context.Background(), Request{Q: &q, Interval: Interval{0, 10}, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := resp.Results
 	if len(res) != 1 || res[0].TrajID != 99 {
 		t.Fatalf("post-load insert not searchable: %+v", res)
 	}
@@ -165,9 +168,7 @@ func checkMutatedDB(t *testing.T, db *DB) {
 	for _, i := range []int{0, len(db.trajs) / 2, len(db.trajs) - 1} {
 		q := db.trajs[i].Clone()
 		q.ID = 0
-		resp, err := db.Query(context.Background(), Request{
-			Q: &q, Interval: Interval{T1: 2, T2: 8}, K: 4, Options: DefaultOptions(),
-		})
+		resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 2, T2: 8}, K: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

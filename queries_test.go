@@ -23,7 +23,7 @@ func TestRangeQueryMatchesBruteForce(t *testing.T) {
 		for q := 0; q < 20; q++ {
 			minX, minY := rng.Float64()*80, rng.Float64()*80
 			t1 := rng.Float64() * 8
-			hits, err := db.RangeQuery(minX, minY, minX+20, minY+20, t1, t1+2)
+			hits, err := db.Range(context.Background(), Window{minX, minY, minX + 20, minY + 20}, Interval{t1, t1 + 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func TestRangeQueryMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestNearestAtFacade(t *testing.T) {
+func TestNearestFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trajs := fleet(rng, 30, 30)
 	db, err := NewDB(RTree3D, trajs)
@@ -59,7 +59,7 @@ func TestNearestAtFacade(t *testing.T) {
 	// Query at the exact position of object 5 at t=4: object 5 must win
 	// with distance ~0.
 	p := trajs[4].At(4)
-	res, err := db.NearestAt(p.X, p.Y, 4, 3)
+	res, err := db.Nearest(context.Background(), p.X, p.Y, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +73,13 @@ func TestNearestAtFacade(t *testing.T) {
 		t.Fatal("neighbours must be sorted by distance")
 	}
 	// Instant outside every lifespan.
-	res, err = db.NearestAt(0, 0, 1e9, 2)
+	res, err = db.Nearest(context.Background(), 0, 0, 1e9, 2)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("no-alive instant: %v, %v", res, err)
 	}
 }
 
-func TestKMostSimilarRelaxedFacade(t *testing.T) {
+func TestRelaxedFacade(t *testing.T) {
 	// Object 2 repeats object 1's course 3 time units later over a longer
 	// lifespan; a relaxed query with object 1's motion must match object 2
 	// near-perfectly despite the shift.
@@ -112,7 +112,7 @@ func TestKMostSimilarRelaxedFacade(t *testing.T) {
 	}
 	q := a.Clone()
 	q.ID = 0
-	res, err := db.KMostSimilarRelaxed(&q, 2)
+	res, err := db.Relaxed(context.Background(), &q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,12 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(q Trajectory, want ID) {
 			defer wg.Done()
-			res, _, err := db.KMostSimilar(&q, 0, 10, 1)
+			resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{0, 10}, K: 1})
 			if err != nil {
 				errs <- err
 				return
 			}
+			res := resp.Results
 			if len(res) != 1 || res[0].TrajID != want {
 				errs <- fmt.Errorf("query for %d returned %+v", want, res)
 			}
@@ -203,11 +204,11 @@ func TestEstimateRangeCountTracksActual(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		minX, minY := rng.Float64()*60, rng.Float64()*60
 		t1 := rng.Float64() * 5
-		est, err := db.EstimateRangeCount(minX, minY, minX+40, minY+40, t1, t1+4)
+		est, err := db.EstimateRange(Window{minX, minY, minX + 40, minY + 40}, Interval{t1, t1 + 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits, err := db.RangeQuery(minX, minY, minX+40, minY+40, t1, t1+4)
+		hits, err := db.Range(context.Background(), Window{minX, minY, minX + 40, minY + 40}, Interval{t1, t1 + 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +242,7 @@ func TestTopologyQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.TopologyQuery(10, 10, 20, 20, 0, 10)
+		res, err := db.Topology(context.Background(), Window{10, 10, 20, 20}, Interval{0, 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,14 +277,16 @@ func TestWarmBufferCachesAcrossQueries(t *testing.T) {
 	}
 	q := trajs[4].Clone()
 	q.ID = 0
-	res1, s1, err := db.KMostSimilar(&q, 2, 6, 2)
+	resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{2, 6}, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, s2, err := db.KMostSimilar(&q, 2, 6, 2)
+	res1, s1 := resp.Results, resp.Stats
+	resp, err = db.Query(context.Background(), Request{Q: &q, Interval: Interval{2, 6}, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res2, s2 := resp.Results, resp.Stats
 	for i := range res1 {
 		if res1[i].TrajID != res2[i].TrajID {
 			t.Fatal("warm buffer changed results")
@@ -301,10 +304,11 @@ func TestWarmBufferCachesAcrossQueries(t *testing.T) {
 	}
 	q2 := extra.Clone()
 	q2.ID = 0
-	res3, _, err := db.KMostSimilar(&q2, 0, 10, 1)
+	resp, err = db.Query(context.Background(), Request{Q: &q2, Interval: Interval{0, 10}, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res3 := resp.Results
 	if len(res3) != 1 || res3[0].TrajID != 999 {
 		t.Fatalf("post-mutation query wrong: %+v", res3)
 	}
@@ -314,7 +318,7 @@ func TestWarmBufferCachesAcrossQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, _ = db.KMostSimilar(&q, 2, 6, 1)
+			_, _ = db.Query(context.Background(), Request{Q: &q, Interval: Interval{2, 6}, K: 1})
 		}()
 	}
 	wg.Wait()
@@ -383,7 +387,7 @@ func TestPoolWarmByDefault(t *testing.T) {
 	}
 	q := trajs[4].Clone()
 	q.ID = 0
-	req := Request{Q: &q, Interval: Interval{T1: 2, T2: 6}, K: 2, Options: DefaultOptions()}
+	req := Request{Q: &q, Interval: Interval{T1: 2, T2: 6}, K: 2}
 	for _, b := range builds {
 		t.Run(b.name, func(t *testing.T) {
 			db, err := b.open(t)
@@ -405,7 +409,7 @@ func TestPoolWarmByDefault(t *testing.T) {
 	}
 }
 
-func TestKMostSimilarAutoScanPath(t *testing.T) {
+func TestQueryAutoScanPath(t *testing.T) {
 	// A tiny, dense cluster: every trajectory sits within the k=all
 	// corridor, so the cost model must pick the scan plan — and its
 	// results must match the index plan exactly.
@@ -426,17 +430,19 @@ func TestKMostSimilarAutoScanPath(t *testing.T) {
 	}
 	q := trajs[0].Clone()
 	q.ID = 0
-	auto, _, usedIndex, err := db.KMostSimilarAuto(&q, 0, 10, 6)
+	got, usedIndex, err := db.QueryAuto(context.Background(), Request{Q: &q, Interval: Interval{0, 10}, K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	auto := got.Results
 	if usedIndex {
 		t.Log("cost model chose the index even on the dense cluster; still verifying results")
 	}
-	want, _, err := db.KMostSimilar(&q, 0, 10, 6)
+	resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{0, 10}, K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := resp.Results
 	if len(auto) != len(want) {
 		t.Fatalf("auto %d results vs %d", len(auto), len(want))
 	}

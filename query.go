@@ -19,9 +19,7 @@ import (
 // minimum exceeding its maximum.
 var ErrBadWindow = errors.New("mstsearch: malformed window")
 
-// Window is a spatial query extent [MinX, MaxX] × [MinY, MaxY] — the typed
-// replacement for the four positional floats of the legacy range and
-// topology entry points.
+// Window is a spatial query extent [MinX, MaxX] × [MinY, MaxY].
 type Window struct {
 	MinX, MinY, MaxX, MaxY float64
 }
@@ -42,8 +40,7 @@ func (w Window) Validate() error {
 	return nil
 }
 
-// Interval is a closed time period [T1, T2] — the typed replacement for
-// the positional (t1, t2) float pairs of the legacy entry points.
+// Interval is a closed time period [T1, T2].
 type Interval struct {
 	T1, T2 float64
 }
@@ -80,8 +77,9 @@ func (w Window) rect() geom.Rect {
 }
 
 // DefaultOptions returns the zero Options: no exclusions, no budgets,
-// GOMAXPROCS batch workers, no trace. It is what the legacy KMostSimilar
-// entry point always used.
+// GOMAXPROCS batch workers, no trace.
+//
+// Deprecated: use Options{}.
 func DefaultOptions() Options {
 	return Options{}
 }
@@ -150,11 +148,11 @@ func wrapTrace(o *Options) *TraceSummary {
 	return sum
 }
 
-// Query is the canonical k-MST entry point: context-first, one Request
-// in, one Response out. It subsumes the legacy KMostSimilar family — a
-// canceled or expired context aborts the search between node visits with
-// an error wrapping ErrCanceled, Options carries every tuning knob, and
-// the Response bundles results, stats, and the optional trace summary.
+// Query is the k-MST entry point: context-first, one Request in, one
+// Response out. A canceled or expired context aborts the search between
+// node visits with an error wrapping ErrCanceled, Options carries every
+// tuning knob, and the Response bundles results, stats, and the optional
+// trace summary.
 func (db *DB) Query(ctx context.Context, req Request) (Response, error) {
 	start := time.Now()
 	o := req.Options
@@ -244,8 +242,7 @@ func (db *DB) queryAutoLocked(ctx context.Context, req Request, o Options) (Resp
 }
 
 // Range returns every stored segment intersecting the window during the
-// interval — the canonical, context-first form of the legacy RangeQuery
-// pair.
+// interval.
 func (db *DB) Range(ctx context.Context, w Window, iv Interval) ([]SegmentHit, error) {
 	start := time.Now()
 	hits, err := db.rangeLocked(ctx, w, iv)
@@ -278,8 +275,7 @@ func (db *DB) rangeLocked(ctx context.Context, w Window, iv Interval) ([]Segment
 }
 
 // Nearest returns the k moving objects closest to point (x, y) at time
-// instant t — the canonical, context-first form of the legacy NearestAt
-// pair.
+// instant t.
 func (db *DB) Nearest(ctx context.Context, x, y, t float64, k int) ([]Neighbor, error) {
 	start := time.Now()
 	res, err := db.nearestLocked(ctx, x, y, t, k)
@@ -379,8 +375,7 @@ func (db *DB) segmentsInBox(ctx context.Context, box MBB) ([]index.LeafEntry, er
 }
 
 // Topology classifies every stored trajectory that touches the window
-// during the interval by its topological relation (enter/leave/cross/…) —
-// the canonical, context-first form of the legacy TopologyQuery pair.
+// during the interval by its topological relation (enter/leave/cross/…).
 func (db *DB) Topology(ctx context.Context, w Window, iv Interval) ([]TopologyResult, error) {
 	start := time.Now()
 	res, err := db.topologyLocked(ctx, w, iv)

@@ -151,10 +151,7 @@ func TestClusterCrashOneShard(t *testing.T) {
 	}) ([]mstsearch.Result, error) {
 		q := qref.Clone()
 		q.ID = 0
-		resp, err := eng.Query(context.Background(), mstsearch.Request{
-			Q: &q, Interval: mstsearch.Interval{T1: 2, T2: 8}, K: 4,
-			Options: mstsearch.DefaultOptions(),
-		})
+		resp, err := eng.Query(context.Background(), mstsearch.Request{Q: &q, Interval: mstsearch.Interval{T1: 2, T2: 8}, K: 4})
 		return resp.Results, err
 	}
 

@@ -137,7 +137,7 @@ func TestShardedLifespanOracle(t *testing.T) {
 			c := buildCluster(t, kind, 2, shard.HashPlacement{}, shard.Options{Workers: 1}, trajs)
 			for i, req := range reqs {
 				for k := 1; k <= 8; k++ {
-					req.K, req.Options = k, mstsearch.DefaultOptions()
+					req.K = k
 					sresp, err := single.Query(context.Background(), req)
 					if err != nil {
 						t.Fatalf("query %d k=%d single: %v", i, k, err)

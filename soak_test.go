@@ -1,6 +1,7 @@
 package mstsearch
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,10 +56,11 @@ func TestSoakRandomOperations(t *testing.T) {
 				t1 := rng.Float64() * 4
 				t2 := t1 + 2 + rng.Float64()*4
 				k := 1 + rng.Intn(3)
-				res, _, err := db.KMostSimilar(&q, t1, t2, k)
+				resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{t1, t2}, K: k})
 				if err != nil {
 					t.Fatal(err)
 				}
+				res := resp.Results
 				// Oracle: exact pairwise DISSIM over the whole store.
 				type pair struct {
 					id ID
@@ -117,7 +119,7 @@ func TestSoakRandomOperations(t *testing.T) {
 				case 2: // range query must match a brute-force count
 					minX, minY := rng.Float64()*80, rng.Float64()*80
 					t1 := rng.Float64() * 8
-					hits, err := db.RangeQuery(minX, minY, minX+20, minY+20, t1, t1+2)
+					hits, err := db.Range(context.Background(), Window{minX, minY, minX + 20, minY + 20}, Interval{t1, t1 + 2})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -144,7 +146,7 @@ func TestSoakRandomOperations(t *testing.T) {
 				case 3: // point NN sanity: reported distance is achievable
 					px, py := rng.Float64()*100, rng.Float64()*100
 					tt := rng.Float64() * 10
-					res, err := db.NearestAt(px, py, tt, 1)
+					res, err := db.Nearest(context.Background(), px, py, tt, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
