@@ -75,7 +75,6 @@ func TestNilQueryIsBadQuery(t *testing.T) {
 		call func() error
 	}{
 		{"Query", func() error { _, err := db.Query(ctx, req); return err }},
-		{"QueryAuto", func() error { _, _, err := db.QueryAuto(ctx, req); return err }},
 		{"Explain", func() error { _, err := db.Explain(ctx, req); return err }},
 		{"EstimateQueryCost", func() error { _, err := db.EstimateQueryCost(nil, 2, 8, 3); return err }},
 	} {

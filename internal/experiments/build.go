@@ -106,10 +106,6 @@ func (b *BuiltIndex) View() (index.Tree, *storage.StripedPool) {
 	return b.open(bp, b.Meta), bp
 }
 
-// Unbuffered returns a view reading the raw file (every access counted as
-// a physical read).
-func (b *BuiltIndex) Unbuffered() index.Tree { return b.open(b.File, b.Meta) }
-
 // SyntheticDataset generates the GSTD dataset of the given cardinality
 // with the study's fixed parameters (Table 2: lognormal speeds, σ = 0.6,
 // ~2000 positions per object). samplesPerObject ≤ 0 selects the paper's

@@ -425,6 +425,27 @@ func BenchmarkSearchTBTree(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationRefine measures the trapezoid refinement knob
+// (DESIGN.md §4.1) on the paper's search: Lemma 1 as published
+// (refine=1) vs subdivided intervals. The search runs without the
+// trajectory store, because with it no trapezoid is evaluated.
+func BenchmarkAblationRefine(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	data := makeDataset(rng, 50, 100)
+	rt := buildRTree(b, data, 4096)
+	q := queryFrom(rng, &data.Trajs[0], 40, 60)
+	for _, refine := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("refine=%d", refine), func(b *testing.B) {
+			opts := Options{K: 1, Vmax: data.MaxSpeed() + q.MaxSpeed(), Refine: refine}
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Search(rt, &q, 40, 60, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // The search must run identically on a bulk-loaded (STR-packed) R-tree —
 // node geometry differs from the dynamically built tree but results may
 // not.

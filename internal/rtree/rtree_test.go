@@ -353,6 +353,54 @@ func BenchmarkBulkLoad10k(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationBulkVsDynamic compares the two 3D R-tree construction
+// paths on trajectory-shaped data: Guttman dynamic insertion (what a live
+// MOD does, and what the experiments use) versus STR bulk loading (what a
+// warehouse rebuild would do), reporting the node-count difference that
+// drives query I/O.
+func BenchmarkAblationBulkVsDynamic(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var entries []index.LeafEntry
+	for id := 1; id <= 50; id++ {
+		x, y := rng.Float64()*100, rng.Float64()*100
+		for s := 0; s < 300; s++ {
+			a := geom.STPoint{X: x, Y: y, T: float64(s)}
+			x += rng.NormFloat64()
+			y += rng.NormFloat64()
+			entries = append(entries, index.LeafEntry{
+				TrajID: trajectory.ID(id), SeqNo: uint32(s),
+				Seg: geom.Segment{A: a, B: geom.STPoint{X: x, Y: y, T: float64(s + 1)}},
+			})
+		}
+	}
+	b.Run("dynamic", func(b *testing.B) {
+		var nodes int
+		for i := 0; i < b.N; i++ {
+			t := New(storage.NewFile(storage.DefaultPageSize))
+			for _, e := range entries {
+				if err := t.Insert(e); err != nil {
+					b.Fatal(err)
+				}
+			}
+			nodes = t.NumNodes()
+		}
+		b.ReportMetric(float64(nodes), "nodes")
+	})
+	b.Run("bulkSTR", func(b *testing.B) {
+		var nodes int
+		for i := 0; i < b.N; i++ {
+			cp := make([]index.LeafEntry, len(entries))
+			copy(cp, entries)
+			t, err := BulkLoad(storage.NewFile(storage.DefaultPageSize), cp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodes = t.NumNodes()
+		}
+		b.ReportMetric(float64(nodes), "nodes")
+	})
+}
+
 func TestRStarSplitProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for iter := 0; iter < 200; iter++ {

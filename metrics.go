@@ -29,8 +29,8 @@ func newQueryMetrics(kind string) *queryMetrics {
 }
 
 // One instrument set per query kind, matching the DB entry points:
-// "kmst" covers Query and QueryAuto, "batch" the batch executor, "explain"
-// the EXPLAIN runner.
+// "kmst" covers Query, "batch" the batch executor, "explain" the EXPLAIN
+// runner.
 var (
 	metKMST     = newQueryMetrics("kmst")
 	metRange    = newQueryMetrics("range")

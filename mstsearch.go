@@ -766,8 +766,8 @@ func (db *DB) EstimateQueryCost(q *Trajectory, t1, t2 float64, k int) (QueryCost
 }
 
 // estimateQueryCostLocked is EstimateQueryCost under an already-held lock,
-// so QueryAuto and Explain can price and execute a query against one
-// consistent snapshot of the store. Callers must hold db.mu (either side).
+// so Explain can price and execute a query against one consistent
+// snapshot of the store. Callers must hold db.mu (either side).
 func (db *DB) estimateQueryCostLocked(q *Trajectory, t1, t2 float64, k int) (QueryCostEstimate, error) {
 	if q == nil {
 		return QueryCostEstimate{}, fmt.Errorf("%w: nil query trajectory", ErrBadQuery)

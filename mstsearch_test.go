@@ -258,36 +258,6 @@ func TestQueryExcludeIDs(t *testing.T) {
 	}
 }
 
-func TestQueryAutoAgreesWithIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	trajs := fleet(rng, 30, 40)
-	db, err := NewDB(RTree3D, trajs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Narrow query → index plan.
-	q := trajs[2].Clone()
-	q.ID = 0
-	got, usedIndex, err := db.QueryAuto(context.Background(), Request{Q: &q, Interval: Interval{2, 4}, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto := got.Results
-	resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{2, 4}, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := resp.Results
-	if len(auto) != len(want) {
-		t.Fatalf("auto plan returned %d results, want %d", len(auto), len(want))
-	}
-	for i := range want {
-		if auto[i].TrajID != want[i].TrajID {
-			t.Fatalf("auto plan rank %d differs (usedIndex=%v)", i, usedIndex)
-		}
-	}
-}
-
 func TestGeoImportFacade(t *testing.T) {
 	p, err := NewGeoProjection(37.97, 23.72)
 	if err != nil {

@@ -394,37 +394,6 @@ func TestExplainReconciles(t *testing.T) {
 	}
 }
 
-// TestQueryAutoSnapshotAndStats pins the redesigned QueryAuto: stats come
-// back (the old entry point dropped them), and the plan choice agrees with
-// the cost model's prediction on an obviously selective query.
-func TestQueryAutoSnapshotAndStats(t *testing.T) {
-	db, err := NewDB(RTree3D, obsFleet(51))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := obsFleet(52)[0]
-	q.ID = 0
-	resp, usedIndex, err := db.QueryAuto(context.Background(), Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if usedIndex && resp.Stats.NodesAccessed == 0 {
-		t.Error("index plan returned no node-access stats")
-	}
-	want, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 5, T2: 45}, K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != len(want.Results) {
-		t.Fatalf("auto plan returned %d results, direct query %d", len(resp.Results), len(want.Results))
-	}
-	for i := range want.Results {
-		if resp.Results[i].TrajID != want.Results[i].TrajID {
-			t.Errorf("rank %d: auto %d, direct %d", i, resp.Results[i].TrajID, want.Results[i].TrajID)
-		}
-	}
-}
-
 // BenchmarkQueryTraceOff and BenchmarkQueryTraceOn measure the cost of
 // the observability layer around one warm-buffer query; compare
 // allocs/op between the two to see the disabled path stays free.

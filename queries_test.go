@@ -408,47 +408,3 @@ func TestPoolWarmByDefault(t *testing.T) {
 		})
 	}
 }
-
-func TestQueryAutoScanPath(t *testing.T) {
-	// A tiny, dense cluster: every trajectory sits within the k=all
-	// corridor, so the cost model must pick the scan plan — and its
-	// results must match the index plan exactly.
-	rng := rand.New(rand.NewSource(61))
-	var trajs []Trajectory
-	for id := 1; id <= 6; id++ {
-		tr := Trajectory{ID: ID(id)}
-		for j := 0; j <= 20; j++ {
-			tr.Samples = append(tr.Samples, Sample{
-				X: float64(id) * 0.01, Y: rng.NormFloat64() * 0.01, T: float64(j) / 2,
-			})
-		}
-		trajs = append(trajs, tr)
-	}
-	db, err := NewDB(RTree3D, trajs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := trajs[0].Clone()
-	q.ID = 0
-	got, usedIndex, err := db.QueryAuto(context.Background(), Request{Q: &q, Interval: Interval{0, 10}, K: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto := got.Results
-	if usedIndex {
-		t.Log("cost model chose the index even on the dense cluster; still verifying results")
-	}
-	resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{0, 10}, K: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := resp.Results
-	if len(auto) != len(want) {
-		t.Fatalf("auto %d results vs %d", len(auto), len(want))
-	}
-	for i := range want {
-		if auto[i].TrajID != want[i].TrajID {
-			t.Fatalf("rank %d: auto %d vs index %d", i, auto[i].TrajID, want[i].TrajID)
-		}
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"mstsearch/internal/baselines"
 	"mstsearch/internal/geom"
 	"mstsearch/internal/index"
 	"mstsearch/internal/mst"
@@ -192,53 +191,6 @@ func (db *DB) QueryLowerBound(ctx context.Context, req Request) (float64, error)
 	default:
 		return 0, fmt.Errorf("mstsearch: index kind %s exposes no searchable view", db.kind)
 	}
-}
-
-// QueryAuto answers the request through whichever execution plan the
-// selectivity cost model predicts is cheaper: the index-backed best-first
-// search when the predicted result corridor is selective, a linear scan of
-// the trajectory store when the corridor spans most of the segment mass
-// (the index can no longer prune, but still pays traversal overhead). The
-// bool reports whether the index was used.
-//
-// The plan decision, the store statistics it depends on, and the query
-// itself all run under one read snapshot of the store, so a concurrent
-// Add/AppendSample can never make the estimator price one version of the
-// data and the search run against another.
-func (db *DB) QueryAuto(ctx context.Context, req Request) (Response, bool, error) {
-	start := time.Now()
-	o := req.Options
-	sum := wrapTrace(&o)
-	resp, usedIndex, err := db.queryAutoLocked(ctx, req, o)
-	resp.Trace = sum
-	db.finishQuery("kmst", metKMST, start, req, resp.Stats, err)
-	return resp, usedIndex, err
-}
-
-// queryAutoLocked holds the read lock across plan choice and execution.
-func (db *DB) queryAutoLocked(ctx context.Context, req Request, o Options) (Response, bool, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	est, err := db.estimateQueryCostLocked(req.Q, req.Interval.T1, req.Interval.T2, req.K)
-	if err != nil {
-		return Response{}, false, err
-	}
-	// The linear-scan plan evaluates DISSIM only; a baseline-metric query
-	// always runs through the index (which validates kind support).
-	if req.Metric != MetricDISSIM || est.ExpectedSegments < 0.5*float64(db.numSegments()) {
-		results, stats, err := db.kMostSimilar(ctx, req.Q, req.Interval.T1, req.Interval.T2, req.K, req.Metric, req.MetricEps, o)
-		return Response{Results: results, Stats: stats}, true, err
-	}
-	ds, err := db.dataset()
-	if err != nil {
-		return Response{}, false, err
-	}
-	scan := baselines.LinearScanMST(ds, req.Q, req.Interval.T1, req.Interval.T2, req.K)
-	out := make([]Result, len(scan))
-	for i, r := range scan {
-		out[i] = Result{TrajID: r.TrajID, Dissim: r.Dissim, Certified: true}
-	}
-	return Response{Results: out}, false, nil
 }
 
 // Range returns every stored segment intersecting the window during the
