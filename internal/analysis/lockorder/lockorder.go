@@ -1,7 +1,7 @@
 // Package lockorder infers the whole-program lock acquisition graph and
 // checks it against the documented hierarchy. Lock classes are mutex
-// struct fields (DB.mu, the striped pool's structMu and shard mu, the
-// admission gate's mu); an edge A → B means some path acquires B while
+// struct fields (DB.mu, the striped pool's shard mu, the admission
+// gate's mu); an edge A → B means some path acquires B while
 // holding A — either directly, through a call whose transitive
 // acquisitions include B, or from a function whose doc contract says
 // "callers must hold A.<field>" and which then locks B.
@@ -20,7 +20,7 @@
 // always reported.
 //
 // Soundness boundary, chosen to keep findings actionable: calls through
-// interfaces are not resolved (the striped pool calling inner.Write
+// interfaces are not resolved (the striped pool calling inner.Read
 // binds to whatever Pager the test injected), and function literals are
 // analyzed as separate roots with an empty held-set (a goroutine body
 // does not inherit its spawner's locks). Both under-approximate, never

@@ -272,51 +272,3 @@ func BenchmarkEDR(b *testing.B) {
 		EDR(&a, &c, 1)
 	}
 }
-
-func TestOWD(t *testing.T) {
-	// Identical shapes, regardless of sampling or timing: OWD = 0.
-	a := traj(1, [3]float64{0, 0, 0}, [3]float64{10, 0, 1})
-	b := traj(2, [3]float64{0, 0, 5}, [3]float64{5, 0, 6}, [3]float64{10, 0, 9})
-	if got := SymmetricOWD(&a, &b, 8); got > 1e-9 {
-		t.Fatalf("same-shape OWD = %v", got)
-	}
-	// Parallel lines offset by 3: OWD = 3 in both directions.
-	c := traj(3, [3]float64{0, 3, 0}, [3]float64{10, 3, 1})
-	if got := SymmetricOWD(&a, &c, 8); math.Abs(got-3) > 1e-9 {
-		t.Fatalf("parallel OWD = %v, want 3", got)
-	}
-	// Asymmetry: a short segment vs a long L-shape.
-	l := traj(4, [3]float64{0, 0, 0}, [3]float64{10, 0, 1}, [3]float64{10, 10, 2})
-	fromA := OWD(&a, &l, 8) // a lies on l → 0
-	fromL := OWD(&l, &a, 8) // l's vertical arm is far from a
-	if fromA > 1e-9 {
-		t.Fatalf("OWD(a→L) = %v, want 0", fromA)
-	}
-	if fromL < 1 {
-		t.Fatalf("OWD(L→a) = %v, should see the far arm", fromL)
-	}
-	// Degenerate inputs.
-	empty := trajectory.Trajectory{ID: 9}
-	if got := OWD(&empty, &a, 4); !math.IsInf(got, 1) {
-		t.Fatalf("empty OWD = %v", got)
-	}
-	point := traj(5, [3]float64{0, 4, 0})
-	if got := OWD(&point, &a, 4); math.Abs(got-4) > 1e-9 {
-		t.Fatalf("point OWD = %v, want 4", got)
-	}
-}
-
-// OWD ignores time entirely: a time-reversed twin is identical under OWD
-// but very dissimilar under DISSIM — the spatial-vs-spatiotemporal
-// distinction the paper's introduction draws.
-func TestOWDIsTimeBlind(t *testing.T) {
-	a := traj(1, [3]float64{0, 0, 0}, [3]float64{10, 0, 10})
-	rev := traj(2, [3]float64{10, 0, 0}, [3]float64{0, 0, 10})
-	if got := SymmetricOWD(&a, &rev, 8); got > 1e-9 {
-		t.Fatalf("reversed OWD = %v, want 0", got)
-	}
-	d, ok := dissim.Exact(&a, &rev, 0, 10)
-	if !ok || d < 10 {
-		t.Fatalf("DISSIM of reversed course = %v (ok=%v), should be large", d, ok)
-	}
-}

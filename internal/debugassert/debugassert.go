@@ -17,7 +17,7 @@
 //   - pruning-bound ordering: OPTDISSIM <= DISSIM <= PESDISSIM, i.e.
 //     every approximate dissimilarity interval has non-negative error
 //     and contains the exact value when both are computed;
-//   - buffer integrity: clean frames evicted from the buffer pool still
+//   - buffer integrity: frames evicted from the buffer pool still
 //     match the inner pager's checksum.
 //
 // CI runs the whole test suite with the tag enabled (the "debugassert"

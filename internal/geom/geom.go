@@ -172,15 +172,6 @@ func (b MBB) Volume() float64 {
 	return (b.MaxX - b.MinX) * (b.MaxY - b.MinY) * (b.MaxT - b.MinT)
 }
 
-// Margin returns the sum of the three edge lengths, used by split
-// tie-breaking.
-func (b MBB) Margin() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return (b.MaxX - b.MinX) + (b.MaxY - b.MinY) + (b.MaxT - b.MinT)
-}
-
 // Enlargement returns the volume increase of b when expanded to cover o.
 func (b MBB) Enlargement(o MBB) float64 { return b.Expand(o).Volume() - b.Volume() }
 

@@ -97,9 +97,6 @@ func TestMBBBasics(t *testing.T) {
 	if a.Enlargement(b) <= 0 {
 		t.Fatal("expanding a to cover b must enlarge it")
 	}
-	if a.Margin() != 3 {
-		t.Fatalf("margin = %v", a.Margin())
-	}
 }
 
 func TestMBBExpandProperties(t *testing.T) {

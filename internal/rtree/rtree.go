@@ -24,7 +24,6 @@ type Tree struct {
 	index.NodeStore
 	minLeaf  int
 	minChild int
-	split    SplitAlgorithm
 }
 
 // New creates an empty tree on the pager.
@@ -124,7 +123,7 @@ func (t *Tree) splitLeaf(n *index.Node) (*index.Node, error) {
 	for i, e := range n.Leaves {
 		boxes[i] = e.MBB()
 	}
-	ga, gb := t.splitGroups(boxes, t.minLeaf)
+	ga, gb := quadraticSplit(boxes, t.minLeaf)
 	sib, err := t.AllocNode(true)
 	if err != nil {
 		return nil, err
@@ -146,7 +145,7 @@ func (t *Tree) splitInternal(n *index.Node) (*index.Node, error) {
 	for i, c := range n.Children {
 		boxes[i] = c.MBB
 	}
-	ga, gb := t.splitGroups(boxes, t.minChild)
+	ga, gb := quadraticSplit(boxes, t.minChild)
 	sib, err := t.AllocNode(false)
 	if err != nil {
 		return nil, err
@@ -161,14 +160,6 @@ func (t *Tree) splitInternal(n *index.Node) (*index.Node, error) {
 		return nil, err
 	}
 	return sib, nil
-}
-
-// splitGroups dispatches to the configured split algorithm.
-func (t *Tree) splitGroups(boxes []geom.MBB, minFill int) ([]int, []int) {
-	if t.split == RStar {
-		return rstarSplit(boxes, minFill)
-	}
-	return quadraticSplit(boxes, minFill)
 }
 
 // InsertTrajectory inserts every segment of tr.

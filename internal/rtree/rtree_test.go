@@ -400,74 +400,3 @@ func BenchmarkAblationBulkVsDynamic(b *testing.B) {
 		b.ReportMetric(float64(nodes), "nodes")
 	})
 }
-
-func TestRStarSplitProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for iter := 0; iter < 200; iter++ {
-		n := 10 + rng.Intn(60)
-		minFill := 1 + rng.Intn(n/3)
-		boxes := make([]geom.MBB, n)
-		for i := range boxes {
-			x, y, tt := rng.Float64()*100, rng.Float64()*100, rng.Float64()*100
-			boxes[i] = geom.MBB{MinX: x, MinY: y, MinT: tt, MaxX: x + 1, MaxY: y + 1, MaxT: tt + 1}
-		}
-		ga, gb := rstarSplit(boxes, minFill)
-		if len(ga)+len(gb) != n {
-			t.Fatalf("split lost entries: %d + %d != %d", len(ga), len(gb), n)
-		}
-		if len(ga) < minFill || len(gb) < minFill {
-			t.Fatalf("split violates min fill %d: %d/%d", minFill, len(ga), len(gb))
-		}
-		seen := map[int]bool{}
-		for _, i := range append(append([]int{}, ga...), gb...) {
-			if seen[i] {
-				t.Fatalf("index %d assigned twice", i)
-			}
-			seen[i] = true
-		}
-	}
-}
-
-func TestRStarTreeInvariantsAndEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	var all []index.LeafEntry
-	for i := 0; i < 2000; i++ {
-		all = append(all, randEntry(rng, i))
-	}
-	rstar := New(storage.NewFile(1024))
-	rstar.SetSplitAlgorithm(RStar)
-	quad := New(storage.NewFile(1024))
-	for _, e := range all {
-		if err := rstar.Insert(e); err != nil {
-			t.Fatal(err)
-		}
-		if err := quad.Insert(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cnt, err := rstar.CheckInvariants()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cnt != len(all) {
-		t.Fatalf("R* tree holds %d entries, want %d", cnt, len(all))
-	}
-	// Identical range-query answers.
-	for q := 0; q < 25; q++ {
-		box := geom.MBB{MinX: rng.Float64() * 80, MinY: rng.Float64() * 80, MinT: rng.Float64() * 800}
-		box.MaxX = box.MinX + 25
-		box.MaxY = box.MinY + 25
-		box.MaxT = box.MinT + 250
-		a, err := index.RangeSearchContext(context.Background(), rstar, box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := index.RangeSearchContext(context.Background(), quad, box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("query %d: R* returned %d, quadratic %d", q, len(a), len(b))
-		}
-	}
-}

@@ -129,14 +129,14 @@ func envelopeFor(err error) (int, ErrorBody) {
 	case errors.Is(err, mstsearch.ErrWALCorrupt) || errors.Is(err, mstsearch.ErrBadSnapshot) ||
 		errors.Is(err, mstsearch.ErrSnapshotCRC) || errors.Is(err, mstsearch.ErrSnapshotVersion) ||
 		errors.Is(err, mstsearch.ErrSnapshotKind) || errors.Is(err, mstsearch.ErrUnknownIndexKind) ||
-		errors.Is(err, index.ErrCorruptNode) || errors.Is(err, storage.ErrBadDiskFile):
+		errors.Is(err, index.ErrCorruptNode):
 		// Durable-state damage discovered on open, replay or traversal:
 		// like a checksum failure, nothing a client retry can fix.
 		return http.StatusInternalServerError, ErrorBody{
 			Code: CodeCorrupt, Message: err.Error(), Retryable: false,
 		}
 	case errors.Is(err, storage.ErrPageOutOfRange) || errors.Is(err, storage.ErrBadPageSize) ||
-		errors.Is(err, storage.ErrPageTooSmall) || errors.Is(err, storage.ErrFileFull):
+		errors.Is(err, storage.ErrFileFull):
 		// Pager misuse or exhaustion escaping the library is a bug in the
 		// serving path, not a client problem.
 		return http.StatusInternalServerError, ErrorBody{

@@ -11,7 +11,6 @@ import (
 	mstsearch "mstsearch"
 	"mstsearch/internal/index"
 	"mstsearch/internal/mst"
-	"mstsearch/internal/storage"
 )
 
 // Each shard of a replicated cluster is a replica set: R independently
@@ -154,8 +153,7 @@ func classify(err error) int {
 		errors.Is(err, mstsearch.ErrWALCorrupt) ||
 		errors.Is(err, mstsearch.ErrBadSnapshot) ||
 		errors.Is(err, mstsearch.ErrSnapshotCRC) ||
-		errors.Is(err, index.ErrCorruptNode) ||
-		errors.Is(err, storage.ErrBadDiskFile):
+		errors.Is(err, index.ErrCorruptNode):
 		return obsFatal
 	case errors.Is(err, mstsearch.ErrInjected):
 		return obsStrike

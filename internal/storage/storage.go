@@ -1,20 +1,20 @@
 // Package storage provides the paged storage substrate underneath the
 // R-tree-like indexes: a page file addressed by page id, and an LRU buffer
-// pool (StripedPool) with write-back caching, I/O accounting, bounded
-// retry for transient faults, and checksum verification of page payloads.
+// pool (StripedPool) that caches reads, with I/O accounting, bounded retry
+// for transient faults, and checksum verification of page payloads.
 //
 // The paper's experimental setup (§5) uses a 4 KB page size and a buffer
 // sized at 10 % of the index with a 1000-page cap; PaperCapacity encodes
-// that policy, and a one-stripe StripedPool is the paper's single LRU. The page file here is memory-backed — the experiments care
-// about page access counts and buffer behaviour, not physical disks — but
-// the interface is what a disk-backed implementation would expose.
+// that policy, and a one-stripe StripedPool is the paper's single LRU. The
+// page file here is memory-backed — the experiments care about page access
+// counts and buffer behaviour, not physical disks — but the interface is
+// what a disk-backed implementation would expose.
 //
 // # Integrity model
 //
-// Every pager that owns page payloads (File, DiskFile) maintains a CRC32
-// per page, updated on Write and verified on Read. A failed verification
-// surfaces as ErrPageCorrupt carrying the damaged page's id — never as a
-// silently wrong payload. The buffer pool additionally re-verifies data it
+// The page file (File) maintains a CRC32 per page, updated on Write and
+// verified on Read. A failed verification surfaces as ErrPageCorrupt
+// carrying the damaged page's id — never as a silently wrong payload. The buffer pool additionally re-verifies data it
 // pulls through intermediate wrappers (see Checksummer), so corruption
 // injected *between* the pool and the backing file — a bit flip in transit
 // — is also caught.
@@ -99,9 +99,6 @@ type Stats struct {
 	Retries   uint64 // read retries after transient faults (pools only)
 	Evictions uint64 // frames evicted to make room (pools only)
 }
-
-// Reset zeroes the counters.
-func (s *Stats) Reset() { *s = Stats{} }
 
 // File is an in-memory page file. Reads of distinct pages may happen
 // concurrently (e.g. parallel queries through separate buffer pools); the

@@ -17,16 +17,20 @@ import (
 // capacity below one page per shard.
 const DefaultStripes = 16
 
-// StripedPool is the buffer pool: an LRU write-back page cache over any
-// Pager, partitioned into independent lock shards keyed by PageID. Each
-// shard owns a private LRU segment and its slice of the total capacity
-// (the per-shard capacities sum to the requested capacity), so concurrent
+// StripedPool is the buffer pool: an LRU read cache over any Pager,
+// partitioned into independent lock shards keyed by PageID. Each shard
+// owns a private LRU segment and its slice of the total capacity (the
+// per-shard capacities sum to the requested capacity), so concurrent
 // readers of pages in distinct shards never touch the same latch — the
 // read-mostly fast path a shared warm pool needs. With one stripe it is a
 // single LRU over the whole capacity, the paper's buffer (§5). Because a
-// page id maps to exactly one shard, all inner-pager I/O for a given page
-// is serialized by that shard's latch; different shards only ever access
-// distinct pages concurrently, which File and DiskFile support.
+// page id maps to exactly one shard, all inner-pager reads of a given page
+// are serialized by that shard's latch; different shards only ever read
+// distinct pages concurrently, which File supports.
+//
+// The pool caches reads only: Write and Alloc fail, and the pages under
+// it must not change while it is in use (the DB writes its file under
+// its own lock and then replaces the pool).
 //
 // The pool is the hardening point of the read path: a miss that comes
 // back with a transient fault (ErrTransient) or a checksum mismatch —
@@ -50,27 +54,21 @@ type StripedPool struct {
 	evictions atomic.Uint64
 
 	shards []poolShard
-
-	// structMu serializes structural growth of the inner pager: Alloc may
-	// reallocate the page table underneath concurrent readers, so it takes
-	// the write side while every other operation holds the read side.
-	// Declared last: it guards the *inner pager's* structure, not the
-	// fields above (which are either immutable after construction, atomic,
-	// or latched per shard).
-	structMu sync.RWMutex // lockrank: 30 — above every shard lock
 }
+
+// errReadOnlyPool is returned by the pool's Write and Alloc.
+var errReadOnlyPool = errors.New("storage: the buffer pool caches reads only")
 
 // frame is one cached page.
 type frame struct {
-	id    PageID
-	data  []byte
-	dirty bool
+	id   PageID
+	data []byte
 }
 
 // poolShard is one lock stripe: a mutex plus the LRU segment of the pages
 // whose ids hash to it.
 type poolShard struct {
-	mu       sync.Mutex // lockrank: 40 — taken under structMu, one shard at a time
+	mu       sync.Mutex // lockrank: 40 — one shard at a time
 	lru      *list.List // front = most recently used; values are *frame
 	frames   map[PageID]*list.Element
 	capacity int
@@ -144,11 +142,7 @@ func (p *StripedPool) Capacity() int { return p.capacity }
 func (p *StripedPool) Stripes() int { return len(p.shards) }
 
 // NumPages implements Pager.
-func (p *StripedPool) NumPages() int {
-	p.structMu.RLock()
-	defer p.structMu.RUnlock()
-	return p.inner.NumPages()
-}
+func (p *StripedPool) NumPages() int { return p.inner.NumPages() }
 
 // Cached returns the number of currently resident frames across all
 // shards — by construction never more than Capacity.
@@ -167,8 +161,6 @@ func (p *StripedPool) Cached() int {
 // valid indefinitely. Concurrent reads of pages in distinct shards
 // proceed fully in parallel.
 func (p *StripedPool) Read(id PageID) ([]byte, error) {
-	p.structMu.RLock()
-	defer p.structMu.RUnlock()
 	sh := p.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -185,75 +177,15 @@ func (p *StripedPool) Read(id PageID) ([]byte, error) {
 		return nil, err
 	}
 	data := cloneBytes(src)
-	if err := sh.insert(p, id, data, false); err != nil {
-		return nil, err
-	}
+	sh.insert(p, id, data)
 	return cloneBytes(data), nil
 }
 
-// Write implements Pager: the page is updated in the owning shard's cache
-// and flushed lazily (write-back).
-func (p *StripedPool) Write(id PageID, data []byte) error {
-	p.structMu.RLock()
-	defer p.structMu.RUnlock()
-	if len(data) != p.pageSize {
-		return ErrBadPageSize
-	}
-	if int(id) >= p.inner.NumPages() {
-		return ErrPageOutOfRange
-	}
-	sh := p.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.frames[id]; ok {
-		p.hits.Add(1)
-		metPool.hits.Inc()
-		fr := el.Value.(*frame)
-		copy(fr.data, data)
-		fr.dirty = true
-		sh.lru.MoveToFront(el)
-		return nil
-	}
-	p.misses.Add(1)
-	metPool.misses.Inc()
-	return sh.insert(p, id, cloneBytes(data), true)
-}
+// Write implements Pager by refusing: the pool caches reads only.
+func (p *StripedPool) Write(PageID, []byte) error { return errReadOnlyPool }
 
-// Alloc implements Pager. Growth of the inner page table is exclusive:
-// Alloc drains all in-flight shard operations (structMu write side) before
-// appending, then seeds the new page into its shard's cache dirty so
-// short-lived pages may never touch the file.
-func (p *StripedPool) Alloc() (PageID, error) {
-	p.structMu.Lock()
-	defer p.structMu.Unlock()
-	id, err := p.inner.Alloc()
-	if err != nil {
-		return NilPage, err
-	}
-	sh := p.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.insert(p, id, make([]byte, p.pageSize), true); err != nil {
-		return NilPage, err
-	}
-	return id, nil
-}
-
-// Flush persists every dirty frame, shard by shard, keeping frames cached.
-func (p *StripedPool) Flush() error {
-	p.structMu.RLock()
-	defer p.structMu.RUnlock()
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		err := sh.flush(p.inner)
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Alloc implements Pager by refusing: the pool caches reads only.
+func (p *StripedPool) Alloc() (PageID, error) { return NilPage, errReadOnlyPool }
 
 // maxReadRetries bounds how many times a miss is re-read after a
 // retryable fault; retryBackoff is the base delay, doubled per attempt
@@ -334,38 +266,28 @@ func (p *StripedPool) ResetStats() {
 
 // insert caches data (which must be a private copy) under id, evicting the
 // shard's LRU tail first if the segment is full. Callers must hold sh.mu.
-func (sh *poolShard) insert(p *StripedPool, id PageID, data []byte, dirty bool) error {
-	if err := sh.evictIfFull(p); err != nil {
-		return err
-	}
-	sh.frames[id] = sh.lru.PushFront(&frame{id: id, data: data, dirty: dirty})
-	return nil
+func (sh *poolShard) insert(p *StripedPool, id PageID, data []byte) {
+	sh.evictIfFull(p)
+	sh.frames[id] = sh.lru.PushFront(&frame{id: id, data: data})
 }
 
-// evictIfFull makes room in the shard, writing dirty victims back through
-// inner. Callers must hold sh.mu; the shard owns its pages, so the
-// write-back cannot race inner I/O for the same page from other shards.
-func (sh *poolShard) evictIfFull(p *StripedPool) error {
-	inner := p.inner
+// evictIfFull makes room in the shard. Callers must hold sh.mu.
+func (sh *poolShard) evictIfFull(p *StripedPool) {
 	for sh.lru.Len() >= sh.capacity {
 		el := sh.lru.Back()
 		fr := el.Value.(*frame)
-		if fr.dirty {
-			if err := inner.Write(fr.id, fr.data); err != nil {
-				return err
-			}
-		} else if debugassert.Enabled {
-			// Sanitizer check: a clean frame leaving the pool must still
-			// match the inner pager's authoritative checksum — anything
-			// else is in-memory corruption of the cached copy or a lost
-			// dirty bit, both of which would vanish silently with the
-			// eviction. Pagers without an authoritative CRC (e.g. fault
-			// injectors) are skipped.
-			if ck, ok := inner.(Checksummer); ok {
+		if debugassert.Enabled {
+			// Sanitizer check: a frame leaving the pool must still match
+			// the inner pager's authoritative checksum — anything else is
+			// in-memory corruption of the cached copy, or a page changed
+			// underneath the pool, either of which would vanish silently
+			// with the eviction. Pagers without an authoritative CRC
+			// (e.g. fault injectors) are skipped.
+			if ck, ok := p.inner.(Checksummer); ok {
 				if want, known := ck.PageChecksum(fr.id); known {
 					got := crc32.ChecksumIEEE(fr.data)
 					debugassert.Assertf(got == want,
-						"evicting clean frame for page %d with CRC %08x; inner pager has %08x",
+						"evicting frame for page %d with CRC %08x; inner pager has %08x",
 						fr.id, got, want)
 				}
 			}
@@ -375,21 +297,6 @@ func (sh *poolShard) evictIfFull(p *StripedPool) error {
 		p.evictions.Add(1)
 		metPool.evictions.Inc()
 	}
-	return nil
-}
-
-// flush writes the shard's dirty frames back. Callers must hold sh.mu.
-func (sh *poolShard) flush(inner Pager) error {
-	for el := sh.lru.Front(); el != nil; el = el.Next() {
-		fr := el.Value.(*frame)
-		if fr.dirty {
-			if err := inner.Write(fr.id, fr.data); err != nil {
-				return err
-			}
-			fr.dirty = false
-		}
-	}
-	return nil
 }
 
 // cloneBytes returns a private copy of b.
